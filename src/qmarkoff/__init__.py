@@ -8,7 +8,7 @@ collision search.
 
 __version__ = "0.1.0"
 
-from .cyclotomic import (ClosureResult, CycInt, CycMatrix, ResidueReport,
+from .cyclotomic import (ClosureResult, CycInt, ResidueReport,
                          closed_form_mu_zeta6, cone_of, entry12_zeta6,
                          eval_cyclotomic, evaluate_matrix, figure2_rows,
                          monoid_closure, recover_counts, residue_relation_check)
@@ -20,22 +20,25 @@ from .identities import (TAU, alternating_words, delta, eta, eta_prime,
 from .laurent import LaurentPoly
 from .markoff import (MarkoffTriple, christoffel_entry_values, markoff_numbers,
                       markoff_numbers_up_to, triple_children)
-from .qmatrix import (L_Q, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q, S_MAT, M_q, QMatrix,
-                      char_poly_scaled_a, mu_q, mu_q_via_sigma)
+from .qmatrix import (L_Q, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q, S_MAT, CycMatrix,
+                      M_q, Mat2, QMatrix, char_poly_scaled_a, mu_q,
+                      mu_q_via_sigma, walk_words)
 from .search import (Classification, CollisionGroup, CollisionReport,
                      InjectivityReport, PairClassification, SearchBoundError,
                      christoffel_injectivity, classify_pair, collide)
 from .words import (BINARY, EXTENDED, SIGMA, apply_morphism, bar,
-                    christoffel_tree, christoffel_words, is_palindrome,
-                    iter_words, letter_counts, mirror, stern_brocot_fraction)
+                    christoffel_fold, christoffel_tree, christoffel_words,
+                    is_palindrome, iter_words, letter_counts, mirror,
+                    stern_brocot_fraction)
 
 __all__ = [
     "BINARY", "EXTENDED", "SIGMA", "TAU",
-    "LaurentPoly", "QMatrix", "CycInt", "CycMatrix",
+    "LaurentPoly", "Mat2", "QMatrix", "CycInt", "CycMatrix", "walk_words",
     "L_Q", "R_Q", "Q_Q", "Q_Q_INV", "S_MAT", "MU_A", "MU_B",
     "M_q", "mu_q", "mu_q_via_sigma", "char_poly_scaled_a",
     "mirror", "bar", "is_palindrome", "apply_morphism", "letter_counts",
-    "christoffel_words", "christoffel_tree", "stern_brocot_fraction", "iter_words",
+    "christoffel_words", "christoffel_tree", "christoffel_fold",
+    "stern_brocot_fraction", "iter_words",
     "eval_cyclotomic", "evaluate_matrix", "closed_form_mu_zeta6", "entry12_zeta6",
     "cone_of", "recover_counts", "monoid_closure", "ClosureResult",
     "residue_relation_check", "ResidueReport", "figure2_rows",

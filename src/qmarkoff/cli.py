@@ -2,7 +2,8 @@
 
 One binary with subcommands; JSON output is byte-deterministic for identical
 invocations, all big integers are emitted as decimal strings, and CSV comes
-with a header row.  Exit codes: 0 success, 2 usage or validation error,
+with a header row.  Exit codes: 0 success, 1 verify-identities found a
+failing case, 2 usage or validation error (including a bad QMARKOFF_JOBS),
 3 unexplained collision pairs found (evidence signal), 4 resource bound hit.
 """
 
@@ -276,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "binary words, Christoffel enumeration, cyclotomic evaluation, "
                     "identity verification and collision search.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    default_jobs = int(os.environ.get("QMARKOFF_JOBS", "1"))
 
     def add_common(p: argparse.ArgumentParser, format_default: str = "json") -> None:
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default=format_default)
-        p.add_argument("--jobs", type=int, default=default_jobs,
+        p.add_argument("--jobs", type=int,
+                       default=os.environ.get("QMARKOFF_JOBS", "1"),
                        help="worker processes (default from QMARKOFF_JOBS, else 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from .laurent import LaurentPoly
-from .qmatrix import MU_A, MU_B, QMatrix
-from .words import BINARY
+from .qmatrix import LETTERS, MU_A, MU_B, Mat2, fan_out, walk_words
 
 _DEGREE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 # x**deg reduced: constant-first coefficient rows of the minimal polynomials
@@ -201,61 +201,12 @@ def eval_cyclotomic(p: LaurentPoly, k: int) -> CycInt:
     return CycInt(k, acc)
 
 
-class CycMatrix:
-    """2x2 matrix of CycInt values sharing one cyclotomic order."""
-
-    __slots__ = ("_e",)
-
-    def __init__(self, m11: CycInt, m12: CycInt, m21: CycInt, m22: CycInt) -> None:
-        self._e = (m11, m12, m21, m22)
-
-    @property
-    def m11(self) -> CycInt:
-        return self._e[0]
-
-    @property
-    def m12(self) -> CycInt:
-        return self._e[1]
-
-    @property
-    def m21(self) -> CycInt:
-        return self._e[2]
-
-    @property
-    def m22(self) -> CycInt:
-        return self._e[3]
-
-    def entries(self) -> tuple[CycInt, CycInt, CycInt, CycInt]:
-        return self._e
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        return self._e == other._e
-
-    def __hash__(self) -> int:
-        return hash(self._e)
-
-    def __mul__(self, other: CycMatrix) -> CycMatrix:
-        a, b, c, d = self._e
-        e, f, g, h = other._e
-        return CycMatrix(a * e + b * g, a * f + b * h,
-                         c * e + d * g, c * f + d * h)
-
-    def scale(self, factor: CycInt) -> CycMatrix:
-        return CycMatrix(*(factor * x for x in self._e))
-
-    def __repr__(self) -> str:
-        a, b, c, d = self._e
-        return f"CycMatrix([[{a}, {b}], [{c}, {d}]])"
-
-
-def evaluate_matrix(m: QMatrix, k: int) -> CycMatrix:
+def evaluate_matrix(m: Mat2, k: int) -> Mat2:
     """Entrywise evaluation of a Laurent matrix at zeta_k."""
-    return CycMatrix(*(eval_cyclotomic(p, k) for p in m.entries()))
+    return m.map(partial(eval_cyclotomic, k=k))
 
 
-def closed_form_mu_zeta6(length: int, count_b: int) -> CycMatrix:
+def closed_form_mu_zeta6(length: int, count_b: int) -> Mat2:
     """The matrix mu at zeta_6 for any word with the given length and b-count.
 
     The image at zeta_6 depends only on (length, count_b); the entries are
@@ -270,8 +221,8 @@ def closed_form_mu_zeta6(length: int, count_b: int) -> CycMatrix:
     def lin(c0: int, c1: int) -> CycInt:
         return CycInt(6, (c0, c1)) * z
 
-    return CycMatrix(lin(s + 1, n), lin(n, -(n + s)),
-                     lin(n + s, -s), lin(1 - s, -n))
+    return Mat2(lin(s + 1, n), lin(n, -(n + s)),
+                lin(n + s, -s), lin(1 - s, -n))
 
 
 def entry12_zeta6(length: int, count_b: int) -> CycInt:
@@ -398,10 +349,6 @@ _RESIDUE_CLASSES = {
         (-1, 1): frozenset({2}), (-1, -1): frozenset({2})},
 }
 
-_MU_A_Q1 = ((2, 1), (1, 1))
-_MU_B_Q1 = ((5, 2), (2, 1))
-
-
 @dataclass(frozen=True)
 class ResidueReport:
     """Comparison of q=1 entries modulo k with the zeta_k evaluations."""
@@ -430,27 +377,21 @@ class ResidueReport:
         return data
 
 
-def _scan_residues(k: int, max_len: int, prefix: str = "") -> tuple[int, list[str], dict]:
+def _scan_residues(k: int, prefix: str, max_len: int) -> tuple[int, list[str], dict]:
     """Walk all words extending ``prefix`` up to max_len, carrying both the
     integer matrix at q=1 and the CycInt matrix at zeta_k incrementally."""
-    mu1 = {"a": _MU_A_Q1, "b": _MU_B_Q1}
-    muz = {"a": evaluate_matrix(MU_A, k), "b": evaluate_matrix(MU_B, k)}
-    m1 = ((1, 0), (0, 1))
-    mz = CycMatrix(CycInt.one(k), CycInt.zero(k), CycInt.zero(k), CycInt.one(k))
-    for ch in prefix:
-        g = mu1[ch]
-        m1 = ((m1[0][0] * g[0][0] + m1[0][1] * g[1][0], m1[0][0] * g[0][1] + m1[0][1] * g[1][1]),
-              (m1[1][0] * g[0][0] + m1[1][1] * g[1][0], m1[1][0] * g[0][1] + m1[1][1] * g[1][1]))
-        mz = mz * muz[ch]
+    at_one = {ch: g.map(LaurentPoly.eval_at_one) for ch, g in LETTERS["mu"].items()}
+    at_zeta = {ch: evaluate_matrix(g, k) for ch, g in LETTERS["mu"].items()}
+    walk_one = walk_words(at_one, Mat2.identity(1, 0), max_len, prefix)
+    walk_zeta = walk_words(at_zeta, Mat2.identity(CycInt.one(k), CycInt.zero(k)),
+                           max_len, prefix)
     table = _RESIDUE_CLASSES.get(k)
     checked = 0
     violations: list[str] = []
     partition: dict[int, set] = {}
-    stack = [(prefix, m1, mz)]
-    while stack:
-        w, m1, mz = stack.pop()
+    for (w, m1), (_, mz) in zip(walk_one, walk_zeta):
         checked += 1
-        residue = m1[0][1] % k
+        residue = m1.m12 % k
         value = mz.m12
         if table is not None:
             allowed = table.get(value.coords)
@@ -458,12 +399,6 @@ def _scan_residues(k: int, max_len: int, prefix: str = "") -> tuple[int, list[st
                 violations.append(w)
         else:
             partition.setdefault(residue, set()).add(value)
-        if len(w) < max_len:
-            for ch in ("a", "b"):
-                g = mu1[ch]
-                n1 = ((m1[0][0] * g[0][0] + m1[0][1] * g[1][0], m1[0][0] * g[0][1] + m1[0][1] * g[1][1]),
-                      (m1[1][0] * g[0][0] + m1[1][1] * g[1][0], m1[1][0] * g[0][1] + m1[1][1] * g[1][1]))
-                stack.append((w + ch, n1, mz * muz[ch]))
     return checked, violations, partition
 
 
@@ -475,23 +410,13 @@ def residue_relation_check(k: int, max_len: int, jobs: int = 1) -> ResidueReport
         raise ValueError(f"k must be in 2..5, got {k}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    jobs = max(1, jobs)
-    if jobs == 1 or max_len < 4:
-        checked, violations, partition = _scan_residues(k, max_len)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        depth = min(max(1, (jobs - 1).bit_length()), max_len)
-        prefixes = sorted("".join(p) for p in _product_letters(depth))
-        checked, violations, partition = _scan_residues(k, depth - 1)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_residues, [k] * len(prefixes),
-                                    [max_len] * len(prefixes), prefixes))
-        for c, v, p in results:
-            checked += c
-            violations.extend(v)
-            for r, vals in p.items():
-                partition.setdefault(r, set()).update(vals)
+    (checked, violations, partition), *parts = fan_out(
+        partial(_scan_residues, k), max_len, jobs)
+    for c, v, p in parts:
+        checked += c
+        violations.extend(v)
+        for r, vals in p.items():
+            partition.setdefault(r, set()).update(vals)
     violations.sort(key=lambda w: (len(w), w))
     if k != 5:
         return ResidueReport(k, max_len, checked, tuple(violations))
@@ -503,12 +428,6 @@ def residue_relation_check(k: int, max_len: int, jobs: int = 1) -> ResidueReport
     return ResidueReport(k, max_len, checked, tuple(violations),
                          distinct_values=len(all_values), partition_sizes=sizes,
                          classes_disjoint=disjoint, partition=ordered)
-
-
-def _product_letters(depth: int):
-    from itertools import product
-
-    return product(BINARY, repeat=depth)
 
 
 def figure2_rows(max_len: int = 10) -> list[tuple[int, tuple[int, ...], float, float]]:

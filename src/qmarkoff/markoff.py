@@ -6,8 +6,12 @@ the branching rule preserves.
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
+
+from .laurent import LaurentPoly
+from .qmatrix import MU_A, MU_B
+from .words import christoffel_fold
 
 
 @dataclass(frozen=True)
@@ -85,30 +89,14 @@ def markoff_numbers_up_to(bound: int) -> list[int]:
     return sorted(nums)
 
 
-# The integer letter matrices recovered at q = 1.
-_A1 = ((2, 1), (1, 1))
-_B1 = ((5, 2), (2, 1))
-
-
-def _imul(m, g):
-    return ((m[0][0] * g[0][0] + m[0][1] * g[1][0], m[0][0] * g[0][1] + m[0][1] * g[1][1]),
-            (m[1][0] * g[0][0] + m[1][1] * g[1][0], m[1][0] * g[0][1] + m[1][1] * g[1][1]))
-
-
 def christoffel_entry_values(max_len: int) -> dict[str, int]:
     """Upper-right integer matrix entry for every Christoffel word <= max_len.
 
-    Matrices are propagated along the Christoffel tree, so each word costs
-    one 2x2 integer multiplication.
+    Matrices at q = 1 are propagated along the Christoffel tree, so each word
+    costs one 2x2 integer multiplication.
     """
-    values = {"a": 1, "b": 2}
-    queue = deque([("a", "b", _A1, _B1)])
-    while queue:
-        u, v, mu_u, mu_v = queue.popleft()
-        if len(u) + len(v) > max_len:
-            continue
-        mu_uv = _imul(mu_u, mu_v)
-        values[u + v] = mu_uv[0][1]
-        queue.append((u, u + v, mu_u, mu_uv))
-        queue.append((u + v, v, mu_uv, mu_v))
+    a1, b1 = MU_A.map(LaurentPoly.eval_at_one), MU_B.map(LaurentPoly.eval_at_one)
+    values = {"a": a1.m12, "b": b1.m12}
+    for u, v, m in christoffel_fold(max_len, a1, b1, operator.mul):
+        values[u + v] = m.m12
     return values

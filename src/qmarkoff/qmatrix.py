@@ -1,94 +1,107 @@
-"""2x2 matrices over Z[q, q^-1] and the two word-to-matrix homomorphisms.
+"""2x2 matrices over a commutative ring, the two word-to-matrix
+homomorphisms, and the depth-first word walk shared by the searches.
 
 ``M_q`` sends a to the lower-triangular generator and b to the
 upper-triangular one; ``mu_q`` sends each letter to a fixed product of those
-generators and recovers the classical Markoff matrices at q = 1.
+generators and recovers the classical Markoff matrices at q = 1.  The same
+``Mat2`` type carries products over Z[q, q^-1], over Z (at q = 1) and over
+Z[zeta_k] (at roots of unity).
 """
 
 from __future__ import annotations
+
+import operator
+import os
+from functools import reduce
+from itertools import product
+from typing import Callable, Iterator, Mapping
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
 from .words import BINARY, SIGMA, apply_morphism, require_word
 
 
-class QMatrix:
-    """Immutable 2x2 matrix with LaurentPoly entries."""
+class Mat2:
+    """Immutable 2x2 matrix over a commutative ring: int, LaurentPoly or CycInt."""
 
     __slots__ = ("_e",)
 
-    def __init__(self, m11: LaurentPoly, m12: LaurentPoly,
-                 m21: LaurentPoly, m22: LaurentPoly) -> None:
+    def __init__(self, m11, m12, m21, m22) -> None:
         self._e = (m11, m12, m21, m22)
 
     @classmethod
-    def identity(cls) -> QMatrix:
-        return cls(ONE, ZERO, ZERO, ONE)
+    def identity(cls, one=ONE, zero=ZERO) -> Mat2:
+        """The identity over the ring of ``one`` and ``zero`` (default Z[q, q^-1])."""
+        return cls(one, zero, zero, one)
 
     @property
-    def m11(self) -> LaurentPoly:
+    def m11(self):
         return self._e[0]
 
     @property
-    def m12(self) -> LaurentPoly:
+    def m12(self):
         return self._e[1]
 
     @property
-    def m21(self) -> LaurentPoly:
+    def m21(self):
         return self._e[2]
 
     @property
-    def m22(self) -> LaurentPoly:
+    def m22(self):
         return self._e[3]
 
-    def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    def entries(self) -> tuple:
         """Row-major entry tuple."""
         return self._e
 
+    def map(self, fn: Callable) -> Mat2:
+        """Apply a ring homomorphism entrywise, e.g. evaluation at q = 1."""
+        return Mat2(*map(fn, self._e))
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QMatrix):
+        if not isinstance(other, Mat2):
             return NotImplemented
         return self._e == other._e
 
     def __hash__(self) -> int:
         return hash(self._e)
 
-    def __mul__(self, other: QMatrix) -> QMatrix:
-        if not isinstance(other, QMatrix):
+    def __mul__(self, other: Mat2) -> Mat2:
+        if not isinstance(other, Mat2):
             return NotImplemented
         a, b, c, d = self._e
         e, f, g, h = other._e
-        return QMatrix(a * e + b * g, a * f + b * h,
-                       c * e + d * g, c * f + d * h)
+        return Mat2(a * e + b * g, a * f + b * h,
+                    c * e + d * g, c * f + d * h)
 
-    def __sub__(self, other: QMatrix) -> QMatrix:
-        if not isinstance(other, QMatrix):
+    def __sub__(self, other: Mat2) -> Mat2:
+        if not isinstance(other, Mat2):
             return NotImplemented
-        return QMatrix(*(x - y for x, y in zip(self._e, other._e)))
+        return Mat2(*(x - y for x, y in zip(self._e, other._e)))
 
-    def __add__(self, other: QMatrix) -> QMatrix:
-        if not isinstance(other, QMatrix):
+    def __add__(self, other: Mat2) -> Mat2:
+        if not isinstance(other, Mat2):
             return NotImplemented
-        return QMatrix(*(x + y for x, y in zip(self._e, other._e)))
+        return Mat2(*(x + y for x, y in zip(self._e, other._e)))
 
-    def scale(self, factor: LaurentPoly) -> QMatrix:
-        return QMatrix(*(factor * x for x in self._e))
+    def scale(self, factor) -> Mat2:
+        return Mat2(*(factor * x for x in self._e))
 
-    def transpose(self) -> QMatrix:
+    def transpose(self) -> Mat2:
         a, b, c, d = self._e
-        return QMatrix(a, c, b, d)
+        return Mat2(a, c, b, d)
 
-    def det(self) -> LaurentPoly:
+    def det(self):
         a, b, c, d = self._e
         return a * d - b * c
 
-    def trace(self) -> LaurentPoly:
+    def trace(self):
         return self._e[0] + self._e[3]
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self._e)
+        return not any(self._e)
 
     def at_one(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Evaluate every entry at q = 1."""
+        """Evaluate every LaurentPoly entry at q = 1."""
         a, b, c, d = (x.eval_at_one() for x in self._e)
         return ((a, b), (c, d))
 
@@ -97,48 +110,87 @@ class QMatrix:
         return {k: p.to_json_dict() for k, p in zip(keys, self._e)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> QMatrix:
+    def from_json_dict(cls, data: dict) -> Mat2:
         return cls(*(LaurentPoly.from_json_dict(data[k])
                      for k in ("m11", "m12", "m21", "m22")))
 
     def __repr__(self) -> str:
         a, b, c, d = self._e
-        return f"QMatrix([[{a}, {b}], [{c}, {d}]])"
+        return f"Mat2([[{a}, {b}], [{c}, {d}]])"
 
+
+#: Names of the Laurent and the cyclotomic matrix types, both now ``Mat2``.
+QMatrix = CycMatrix = Mat2
 
 # Named constant matrices.
-L_Q = QMatrix(Q, ZERO, Q, ONE)
-R_Q = QMatrix(Q, ONE, ZERO, ONE)
-Q_Q = QMatrix(Q, ZERO, ZERO, ONE)
-Q_Q_INV = QMatrix(LaurentPoly.q(-1), ZERO, ZERO, ONE)
-S_MAT = QMatrix(ZERO, LaurentPoly.from_int(-1), ONE, ZERO)
+L_Q = Mat2(Q, ZERO, Q, ONE)
+R_Q = Mat2(Q, ONE, ZERO, ONE)
+Q_Q = Mat2(Q, ZERO, ZERO, ONE)
+Q_Q_INV = Mat2(LaurentPoly.q(-1), ZERO, ZERO, ONE)
+S_MAT = Mat2(ZERO, LaurentPoly.from_int(-1), ONE, ZERO)
 
 MU_A = R_Q * L_Q
 MU_B = R_Q * R_Q * L_Q * L_Q
 
-_M_LETTER = {"a": L_Q, "b": R_Q}
-_MU_LETTER = {"a": MU_A, "b": MU_B}
+#: Letter matrices of the two word maps.
+LETTERS = {"M": {"a": L_Q, "b": R_Q}, "mu": {"a": MU_A, "b": MU_B}}
 
 
-def M_q(w: str) -> QMatrix:
+def _word_product(letters: Mapping[str, Mat2], w: str) -> Mat2:
+    require_word(w, BINARY)
+    return reduce(operator.mul, (letters[ch] for ch in w), Mat2.identity())
+
+
+def M_q(w: str) -> Mat2:
     """Product of the letter generators of w (a -> L, b -> R); identity for the empty word."""
-    require_word(w, BINARY)
-    out = QMatrix.identity()
-    for ch in w:
-        out = out * _M_LETTER[ch]
-    return out
+    return _word_product(LETTERS["M"], w)
 
 
-def mu_q(w: str) -> QMatrix:
+def mu_q(w: str) -> Mat2:
     """Product of the per-letter matrices MU_A and MU_B over w."""
-    require_word(w, BINARY)
-    out = QMatrix.identity()
-    for ch in w:
-        out = out * _MU_LETTER[ch]
-    return out
+    return _word_product(LETTERS["mu"], w)
 
 
-def mu_q_via_sigma(w: str) -> QMatrix:
+def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
+               prefix: str = "") -> Iterator[tuple[str, Mat2]]:
+    """Yield (word, product of its letter matrices) depth-first for every word
+    that extends ``prefix`` and has length <= max_len.
+
+    ``letters`` maps each letter to its matrix over the ring of ``identity``;
+    every yielded word costs one matrix multiplication.
+    """
+    start = reduce(operator.mul, (letters[ch] for ch in prefix), identity)
+    stack = [(prefix, start)]
+    while stack:
+        w, m = stack.pop()
+        yield w, m
+        if len(w) < max_len:
+            for ch, g in letters.items():
+                stack.append((w + ch, m * g))
+
+
+def fan_out(scan: Callable[[str, int], object], max_len: int, jobs: int) -> list:
+    """Results of ``scan(prefix, stop_len)`` calls that together cover every
+    binary word of length <= max_len exactly once.
+
+    One job, or max_len < 4: the single in-process scan("", max_len).
+    Otherwise: first an in-process scan of the words shorter than a split
+    depth, then one scan per prefix of that depth, in prefix order, on at most
+    min(jobs, CPU count, prefix count) worker processes.  ``scan`` must pickle.
+    """
+    if jobs <= 1 or max_len < 4:
+        return [scan("", max_len)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    depth = min((jobs - 1).bit_length(), max_len)
+    prefixes = ["".join(p) for p in product(BINARY, repeat=depth)]
+    head = scan("", depth - 1)
+    workers = min(jobs, os.cpu_count() or 1, len(prefixes))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [head, *pool.map(scan, prefixes, [max_len] * len(prefixes))]
+
+
+def mu_q_via_sigma(w: str) -> Mat2:
     """Alternative route to mu_q(w) through M_q and the morphism sigma.
 
     Kept as an independent path so tests can cross-check the base matrices.

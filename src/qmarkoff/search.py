@@ -13,15 +13,18 @@ recomputed polynomials.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial, reduce
 from typing import Optional
 
 from .cyclotomic import eval_cyclotomic
 from .identities import partner, phi, psi
 from .laurent import LaurentPoly
-from .qmatrix import M_q, MU_A, MU_B, L_Q, R_Q, mu_q
-from .words import apply_morphism, bar, letter_counts, mirror, require_word, BINARY
+from .qmatrix import LETTERS, MU_A, MU_B, M_q, Mat2, fan_out, mu_q, walk_words
+from .words import (BINARY, apply_morphism, bar, christoffel_fold,
+                    letter_counts, mirror, require_word)
 
 
 class Classification(str, Enum):
@@ -104,22 +107,13 @@ class SearchBoundError(RuntimeError):
         self.bound = bound
 
 
-_MAPS = {"M": (L_Q, R_Q), "mu": (MU_A, MU_B)}
-
-
 def _coefficient_bound(map_kind: str, max_len: int) -> int:
     """Entrywise bound on product coefficients: the matching entry of the
     q=1 sum of the two letter matrices raised to max_len dominates every
     coefficient of every entry of every product of max_len letter matrices."""
-    ga, gb = _MAPS[map_kind]
-    (a11, a12), (a21, a22) = ga.at_one()
-    (b11, b12), (b21, b22) = gb.at_one()
-    s = (a11 + b11, a12 + b12, a21 + b21, a22 + b22)
-    m = (1, 0, 0, 1)
-    for _ in range(max_len):
-        m = (m[0] * s[0] + m[1] * s[2], m[0] * s[1] + m[1] * s[3],
-             m[2] * s[0] + m[3] * s[2], m[2] * s[1] + m[3] * s[3])
-    return max(m)
+    letters = LETTERS[map_kind]
+    s = (letters["a"] + letters["b"]).map(LaurentPoly.eval_at_one)
+    return max(reduce(operator.mul, [s] * max_len, Mat2.identity(1, 0)).entries())
 
 
 def _pack_poly(p: LaurentPoly, shift: int) -> int:
@@ -140,33 +134,15 @@ def _unpack_poly(packed: int, shift: int) -> LaurentPoly:
     return LaurentPoly(0, coeffs)
 
 
-def _packed_letters(map_kind: str, shift: int):
-    ga, gb = _MAPS[map_kind]
-    return (tuple(_pack_poly(p, shift) for p in ga.entries()),
-            tuple(_pack_poly(p, shift) for p in gb.entries()))
-
-
-def _scan_words(map_kind: str, max_len: int, shift: int,
-                prefix: str = "", stop_len: Optional[int] = None) -> dict[int, list[str]]:
+def _scan_words(map_kind: str, shift: int, prefix: str,
+                max_len: int) -> dict[int, list[str]]:
     """Packed 12-entry -> words, for all words extending ``prefix`` with
-    length in [len(prefix), stop_len or max_len]."""
-    ga, gb = _packed_letters(map_kind, shift)
-    m = (1, 0, 0, 1)
-    for ch in prefix:
-        g = ga if ch == "a" else gb
-        m = (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
-             m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3])
-    limit = max_len if stop_len is None else stop_len
+    length in [len(prefix), max_len]."""
+    letters = {ch: g.map(partial(_pack_poly, shift=shift))
+               for ch, g in LETTERS[map_kind].items()}
     buckets: dict[int, list[str]] = {}
-    stack = [(prefix, m)]
-    while stack:
-        w, m = stack.pop()
-        buckets.setdefault(m[1], []).append(w)
-        if len(w) < limit:
-            for ch, g in (("a", ga), ("b", gb)):
-                stack.append((w + ch,
-                              (m[0] * g[0] + m[1] * g[2], m[0] * g[1] + m[1] * g[3],
-                               m[2] * g[0] + m[3] * g[2], m[2] * g[1] + m[3] * g[3])))
+    for w, m in walk_words(letters, Mat2.identity(1, 0), max_len, prefix):
+        buckets.setdefault(m.m12, []).append(w)
     return buckets
 
 
@@ -187,7 +163,7 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
     require_word(y, BINARY)
     if x == y:
         raise ValueError("pairs are unordered distinct words")
-    if map_kind not in _MAPS:
+    if map_kind not in LETTERS:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if require_collision:
         fn = _word_map(map_kind)
@@ -328,30 +304,17 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word, independent of the worker count.
     """
-    if map_kind not in _MAPS:
+    if map_kind not in LETTERS:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if max_len > safety_bound:
         raise SearchBoundError(max_len, safety_bound)
     shift = _coefficient_bound(map_kind, max_len).bit_length() + 1
-    jobs = max(1, jobs)
-    if jobs == 1 or max_len < 4:
-        buckets = _scan_words(map_kind, max_len, shift)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from itertools import product
-
-        depth = min(max(1, (jobs - 1).bit_length()), max_len)
-        prefixes = sorted("".join(p) for p in product(BINARY, repeat=depth))
-        buckets = _scan_words(map_kind, max_len, shift, "", stop_len=depth - 1)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_words, [map_kind] * len(prefixes),
-                                    [max_len] * len(prefixes),
-                                    [shift] * len(prefixes), prefixes))
-        for part in results:
-            for key, ws in part.items():
-                buckets.setdefault(key, []).extend(ws)
+    buckets, *parts = fan_out(partial(_scan_words, map_kind, shift), max_len, jobs)
+    for part in parts:
+        for key, ws in part.items():
+            buckets.setdefault(key, []).extend(ws)
     words_searched = sum(len(ws) for ws in buckets.values())
 
     groups = []
@@ -416,18 +379,9 @@ def christoffel_injectivity(max_len: int) -> InjectivityReport:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    from collections import deque
-
     m12: dict[str, LaurentPoly] = {"a": MU_A.m12, "b": MU_B.m12}
-    queue = deque([("a", "b", MU_A, MU_B)])
-    while queue:
-        u, v, mat_u, mat_v = queue.popleft()
-        if len(u) + len(v) > max_len:
-            continue
-        mat_uv = mat_u * mat_v
-        m12[u + v] = mat_uv.m12
-        queue.append((u, u + v, mat_u, mat_uv))
-        queue.append((u + v, v, mat_uv, mat_v))
+    for u, v, mat in christoffel_fold(max_len, MU_A, MU_B, operator.mul):
+        m12[u + v] = mat.m12
 
     polys = list(m12.values())
     distinct_polys = len(set(polys)) == len(polys)

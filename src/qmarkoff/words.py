@@ -7,9 +7,10 @@ boundaries.  The binary alphabet is ``ab``, the extended one ``abcd``.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 BINARY = "ab"
 EXTENDED = "abcd"
@@ -59,25 +60,32 @@ def apply_morphism(images: Mapping[str, str], w: str) -> str:
         raise ValueError(f"letter {exc.args[0]!r} outside morphism domain") from None
 
 
-def christoffel_tree(max_len: int) -> list[tuple[str, str]]:
-    """Factorization pairs (u, v) of all Christoffel words uv with |uv| <= max_len.
+def christoffel_fold(max_len: int, a, b, combine: Callable) -> Iterator[tuple]:
+    """Yield (u, v, value(uv)) for every Christoffel pair with |uv| <= max_len.
 
     The root pair is (a, b); the children of (u, v) are (u, uv) and (uv, v).
-    Breadth-first order; both children are pruned independently since word
-    length is strictly increasing along each branch.
+    value(a) = ``a``, value(b) = ``b`` and value(uv) = combine(value(u),
+    value(v)), so each pair costs one ``combine``.  Breadth-first order; both
+    children are pruned independently since word length is strictly
+    increasing along each branch.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    nodes = []
-    queue = deque([("a", "b")])
+    queue = deque([("a", "b", a, b)])
     while queue:
-        u, v = queue.popleft()
+        u, v, x, y = queue.popleft()
         if len(u) + len(v) > max_len:
             continue
-        nodes.append((u, v))
-        queue.append((u, u + v))
-        queue.append((u + v, v))
-    return nodes
+        xy = combine(x, y)
+        yield u, v, xy
+        queue.append((u, u + v, x, xy))
+        queue.append((u + v, v, xy, y))
+
+
+def christoffel_tree(max_len: int) -> list[tuple[str, str]]:
+    """Factorization pairs (u, v) of all Christoffel words uv with |uv| <= max_len,
+    in the breadth-first order of :func:`christoffel_fold`."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    return [(u, v) for u, v, _ in christoffel_fold(max_len, "a", "b", operator.add)]
 
 
 def christoffel_words(max_len: int) -> list[str]:

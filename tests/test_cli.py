@@ -176,6 +176,11 @@ def test_jobs_default_from_environment(monkeypatch):
     monkeypatch.setenv("QMARKOFF_JOBS", "3")
     parser = cli.build_parser()
     assert parser.parse_args(["collide", "--max-len", "4"]).jobs == 3
+    # a bad value is a usage error (exit 2), not a traceback
+    monkeypatch.setenv("QMARKOFF_JOBS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["collide", "--max-len", "4"])
+    assert exc.value.code == 2
 
 
 def test_verify_identities_verdicts_carry_words(capsys):

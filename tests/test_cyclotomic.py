@@ -225,9 +225,10 @@ def test_order_five_value_cloud():
     assert data["distinct_values"] == 31
 
 
-def test_residue_check_parallel_merge_is_deterministic():
-    solo = residue_relation_check(5, 7, jobs=1)
-    multi = residue_relation_check(5, 7, jobs=2)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_residue_check_parallel_merge_is_deterministic(k):
+    solo = residue_relation_check(k, 7, jobs=1)
+    multi = residue_relation_check(k, 7, jobs=2)
     assert solo.words_checked == multi.words_checked
     assert solo.partition == multi.partition
     assert solo.violations == multi.violations

@@ -1,10 +1,15 @@
+import concurrent.futures
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
-from qmarkoff.qmatrix import (L_Q, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q, S_MAT, M_q,
-                              QMatrix, char_poly_scaled_a, mu_q, mu_q_via_sigma)
+from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
+                              S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
+                              fan_out, mu_q, mu_q_via_sigma, walk_words)
 from qmarkoff.words import bar, iter_words
 
 from oracle import letter_product_at, matrix_at
@@ -149,3 +154,60 @@ def test_trace_transpose_scale():
 def test_words_up_to_six_via_oracle_at_q2():
     for w in iter_words("ab", 6):
         assert matrix_at(mu_q(w), 2) == letter_product_at(w, 2, "mu")
+
+
+@pytest.mark.parametrize("kind, word_map", [("M", M_q), ("mu", mu_q)])
+def test_walker_yields_every_word_once_with_its_product(kind, word_map):
+    rings = [
+        (LETTERS[kind], Mat2.identity(), word_map),
+        ({ch: g.map(LaurentPoly.eval_at_one) for ch, g in LETTERS[kind].items()},
+         Mat2.identity(1, 0), lambda w: Mat2(*sum(word_map(w).at_one(), ()))),
+        ({ch: evaluate_matrix(g, 5) for ch, g in LETTERS[kind].items()},
+         Mat2.identity(CycInt.one(5), CycInt.zero(5)),
+         lambda w: evaluate_matrix(word_map(w), 5)),
+    ]
+    for letters, identity, expected in rings:
+        walked = list(walk_words(letters, identity, 8))
+        assert sorted(w for w, _ in walked) == sorted(iter_words("ab", 8))
+        for w, m in walked:
+            assert m == expected(w)
+    sub = list(walk_words(LETTERS[kind], Mat2.identity(), 5, prefix="ab"))
+    assert sorted(w for w, _ in sub) == sorted(
+        w for w in iter_words("ab", 5) if w.startswith("ab"))
+    assert all(m == word_map(w) for w, m in sub)
+
+
+def _list_words(prefix, stop_len):
+    return [w for w, _ in walk_words(LETTERS["M"], Mat2.identity(), stop_len, prefix)]
+
+
+@pytest.mark.parametrize("jobs, cpus, max_len, workers", [
+    (10 ** 6, 4, 6, 4),      # CPU count
+    (10 ** 6, None, 6, 1),   # unknown CPU count
+    (3, 8, 6, 3),            # requested jobs
+    (100, 1000, 5, 32),      # prefix count: depth min(7, 5) gives 32 prefixes
+])
+def test_fan_out_clamps_worker_count(monkeypatch, jobs, cpus, max_len, workers):
+    sizes = []
+
+    class SerialPool:
+        """In-process stand-in for the process pool; records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    parts = fan_out(_list_words, max_len, jobs)
+    assert sizes == [workers]
+    words = [w for part in parts for w in part]
+    assert sorted(words) == sorted(iter_words("ab", max_len))

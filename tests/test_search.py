@@ -123,9 +123,10 @@ def test_chain_classification_at_length_twelve():
     assert counts["unexplained"] == 0
 
 
-def test_parallel_search_matches_serial():
-    solo = collide("mu", 8, jobs=1)
-    multi = collide("mu", 8, jobs=2)
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+def test_parallel_search_matches_serial(map_kind):
+    solo = collide(map_kind, 8, jobs=1)
+    multi = collide(map_kind, 8, jobs=2)
     assert solo.to_json_dict() == multi.to_json_dict()
 
 
