@@ -12,11 +12,12 @@ from .cyclotomic import (ClosureResult, CycInt, ResidueReport,
                          closed_form_mu_zeta6, cone_of, entry12_zeta6,
                          eval_cyclotomic, evaluate_matrix, figure2_rows,
                          monoid_closure, recover_counts, residue_relation_check)
-from .identities import (TAU, alternating_words, delta, eta, eta_prime,
-                         identity1_M_words, identity1_mu_words,
+from .identities import (FAMILIES, TAU, alternating_words, delta, eta,
+                         eta_prime, identity1_M_words, identity1_mu_words,
                          identity2_M_words, identity2_mu_words, partner, phi,
-                         psi, verify_identity1_M, verify_identity1_mu,
-                         verify_identity2_M, verify_identity2_mu)
+                         psi, verify_family, verify_identity1_M,
+                         verify_identity1_mu, verify_identity2_M,
+                         verify_identity2_mu)
 from .laurent import LaurentPoly
 from .markoff import (MarkoffTriple, christoffel_entry_values, markoff_numbers,
                       markoff_numbers_up_to, triple_children)
@@ -43,7 +44,7 @@ __all__ = [
     "cone_of", "recover_counts", "monoid_closure", "ClosureResult",
     "residue_relation_check", "ResidueReport", "figure2_rows",
     "partner", "phi", "psi", "eta", "eta_prime", "delta", "alternating_words",
-    "verify_identity1_M", "verify_identity1_mu",
+    "FAMILIES", "verify_family", "verify_identity1_M", "verify_identity1_mu",
     "verify_identity2_M", "verify_identity2_mu",
     "identity1_M_words", "identity1_mu_words",
     "identity2_M_words", "identity2_mu_words",

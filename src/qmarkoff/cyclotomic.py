@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, format_terms
 from .qmatrix import LETTERS, MU_A, MU_B, Mat2, fan_out, walk_words
 
 _DEGREE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
@@ -172,22 +172,8 @@ class CycInt:
         return f"CycInt({self._k}, {self._coords})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for j, c in enumerate(self._coords):
-            if not c:
-                continue
-            if j == 0:
-                body = str(abs(c))
-            else:
-                var = f"z{self._k}" if j == 1 else f"z{self._k}^{j}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(((j, c) for j, c in enumerate(self._coords) if c),
+                            f"z{self._k}")
 
 
 def eval_cyclotomic(p: LaurentPoly, k: int) -> CycInt:
@@ -227,10 +213,7 @@ def closed_form_mu_zeta6(length: int, count_b: int) -> Mat2:
 
 def entry12_zeta6(length: int, count_b: int) -> CycInt:
     """Upper-right entry of the closed form: zeta^(n+s) * (n - (n+s) zeta)."""
-    if count_b < 0 or length < 0 or count_b > length:
-        raise ValueError("need 0 <= count_b <= length")
-    n, s = length, count_b
-    return CycInt(6, (n, -(n + s))).times_zeta_pow(n + s)
+    return closed_form_mu_zeta6(length, count_b).m12
 
 
 def cone_of(z: CycInt) -> Optional[int]:

@@ -99,28 +99,44 @@ def identity2_mu_words(w: str, v: str) -> tuple[str, str]:
             "a" + apply_morphism(images, partner(v)) + w + "b")
 
 
+#: Identity family -> (word map name, word-pair function, the function's
+#: parameters after w).  The map name is resolved through this module's
+#: ``M_q``/``mu_q`` at call time.
+FAMILIES = {
+    "1M": ("M", identity1_M_words, ("k", "m", "n")),
+    "1mu": ("mu", identity1_mu_words, ()),
+    "2M": ("M", identity2_M_words, ("v", "k", "m", "n")),
+    "2mu": ("mu", identity2_mu_words, ("v",)),
+}
+
+
+def verify_family(family: str, w: str, *params) -> tuple[str, str, bool]:
+    """The two words of one instance of ``family`` and whether they share
+    their 12-entry under the family's word map."""
+    map_kind, words, _ = FAMILIES[family]
+    x, y = words(w, *params)
+    word_map = M_q if map_kind == "M" else mu_q
+    return x, y, word_map(x).m12 == word_map(y).m12
+
+
 def verify_identity1_M(w: str, k: int = 0, m: int = 0, n: int = 0) -> bool:
     """Whether the two bracketed letter-generator products share their 12-entry."""
-    x, y = identity1_M_words(w, k, m, n)
-    return M_q(x).m12 == M_q(y).m12
+    return verify_family("1M", w, k, m, n)[2]
 
 
 def verify_identity1_mu(w: str) -> bool:
     """Whether a(w)b and a(mirror w)b share their 12-entry under mu."""
-    x, y = identity1_mu_words(w)
-    return mu_q(x).m12 == mu_q(y).m12
+    return verify_family("1mu", w)[2]
 
 
 def verify_identity2_M(w: str, v: str, k: int = 0, m: int = 0, n: int = 0) -> bool:
     """Second-family check on the letter-generator side."""
-    x, y = identity2_M_words(w, v, k, m, n)
-    return M_q(x).m12 == M_q(y).m12
+    return verify_family("2M", w, v, k, m, n)[2]
 
 
 def verify_identity2_mu(w: str, v: str) -> bool:
     """Second-family check on the mu side."""
-    x, y = identity2_mu_words(w, v)
-    return mu_q(x).m12 == mu_q(y).m12
+    return verify_family("2mu", w, v)[2]
 
 
 def delta(w: str, v: str) -> LaurentPoly:

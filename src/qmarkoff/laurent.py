@@ -11,6 +11,23 @@ import hashlib
 from typing import Iterable, Iterator
 
 
+def format_terms(terms: Iterable[tuple[int, int]], var: str) -> str:
+    """Human form of nonzero (exponent, coefficient) terms, e.g.
+    ``1 + 4q - q^2``; "0" when there are none."""
+    parts = []
+    for e, c in terms:
+        if e == 0:
+            body = str(abs(c))
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if abs(c) == 1 else f"{abs(c)}{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 class LaurentPoly:
     """An element of Z[q, q^-1] stored densely from its lowest exponent up."""
 
@@ -186,20 +203,7 @@ class LaurentPoly:
         return f"LaurentPoly({self._min}, {self._coeffs})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(self.terms(), "q")
 
 
 ZERO = LaurentPoly.zero()

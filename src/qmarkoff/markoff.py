@@ -42,9 +42,8 @@ class MarkoffTriple:
 ROOT = MarkoffTriple(1, 1, 1)
 
 
-def triple_children(t: MarkoffTriple) -> tuple[MarkoffTriple, MarkoffTriple]:
-    """Both branches below a triple; each satisfies the equation by construction."""
-    return t.children()
+#: Both branches below a triple; each satisfies the equation by construction.
+triple_children = MarkoffTriple.children
 
 
 def markoff_numbers(depth: int) -> list[int]:

@@ -173,20 +173,20 @@ def fan_out(scan: Callable[[str, int], object], max_len: int, jobs: int) -> list
     """Results of ``scan(prefix, stop_len)`` calls that together cover every
     binary word of length <= max_len exactly once.
 
-    One job, or max_len < 4: the single in-process scan("", max_len).
-    Otherwise: first an in-process scan of the words shorter than a split
-    depth, then one scan per prefix of that depth, in prefix order, on at most
-    min(jobs, CPU count, prefix count) worker processes.  ``scan`` must pickle.
+    With workers = min(jobs, CPU count) <= 1, or max_len < 4: one in-process
+    scan("", max_len).  Otherwise: an in-process scan of the words shorter than
+    depth = bit_length(workers - 1), then one scan per prefix of that depth, in
+    prefix order, on min(workers, prefix count) processes.  ``scan`` must pickle.
     """
-    if jobs <= 1 or max_len < 4:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or max_len < 4:
         return [scan("", max_len)]
     from concurrent.futures import ProcessPoolExecutor
 
-    depth = min((jobs - 1).bit_length(), max_len)
+    depth = min((workers - 1).bit_length(), max_len)
     prefixes = ["".join(p) for p in product(BINARY, repeat=depth)]
     head = scan("", depth - 1)
-    workers = min(jobs, os.cpu_count() or 1, len(prefixes))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
         return [head, *pool.map(scan, prefixes, [max_len] * len(prefixes))]
 
 

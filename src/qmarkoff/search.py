@@ -170,12 +170,13 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
         if fn(x).m12 != fn(y).m12:
             raise ValueError(f"{x!r} and {y!r} do not share their 12-entry under {map_kind}")
     w_bound = max(len(x), len(y)) // 2
-    if map_kind == "mu":
-        id1 = _mu_identity1_witness(x, y)
-        id2 = _mu_identity2_witness(x, y, w_bound) or _mu_identity2_witness(y, x, w_bound)
-    else:
-        id1 = _M_identity1_witness(x, y)
-        id2 = _M_identity2_witness(x, y, w_bound) or _M_identity2_witness(y, x, w_bound)
+    id1 = id2 = None
+    px, py = _bracket(map_kind, x), _bracket(map_kind, y)
+    if px and py and px[0] == py[0]:
+        (k, bx), by = px, py[1]
+        id1 = _identity1_witness(map_kind, bx, by)
+        id2 = (_identity2_witness(map_kind, bx, by, w_bound)
+               or _identity2_witness(map_kind, by, bx, w_bound))
     if id1 and id2:
         kind = Classification.BOTH
     elif id1:
@@ -184,80 +185,53 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
         kind = Classification.IDENTITY2
     else:
         kind = Classification.UNEXPLAINED
-    return PairClassification(x, y, kind, witness=id2 or id1, w_search_bound=w_bound)
+    witness = id2 or id1
+    if witness and map_kind == "M":
+        witness["k"] = k  # the leading a-run of both words
+    return PairClassification(x, y, kind, witness=witness, w_search_bound=w_bound)
 
 
-def _mu_identity1_witness(x: str, y: str) -> Optional[dict]:
-    if len(x) == len(y) >= 2 and x[0] == y[0] == "a" and x[-1] == y[-1] == "b":
-        if y[1:-1] == mirror(x[1:-1]):
-            return {"family": "identity1", "inner": x[1:-1]}
-    return None
+#: Per map: the identity-1 involution, the identity-2 morphism, and the
+#: length of that morphism's letter images at w = "".
+_FAMILY_MAPS = {"mu": (mirror, psi, 4), "M": (bar, phi, 8)}
 
 
-def _mu_identity2_witness(x: str, y: str, w_bound: int) -> Optional[dict]:
-    """Decompose x as a . psi_w(v) . w . b and check y against partner(v)."""
-    if len(x) != len(y) or len(x) < 6:
-        return None
-    if x[0] != "a" or x[-1] != "b" or y[0] != "a" or y[-1] != "b":
-        return None
-    n = len(x)
-    for wlen in range(0, w_bound + 1):
-        block = 2 * wlen + 4
-        body_len = n - 2 - wlen
-        if body_len < block or body_len % block:
-            continue
-        w = x[n - 1 - wlen:n - 1]
-        if y[n - 1 - wlen:n - 1] != w:
-            continue
-        images = psi(w)
-        v = _peel(x[1:n - 1 - wlen], images, block)
-        if v is None:
-            continue
-        if "a" + apply_morphism(images, partner(v)) + w + "b" == y:
-            return {"family": "identity2", "w": w, "v": v}
-    return None
-
-
-def _strip_a_runs(x: str) -> Optional[tuple[int, str]]:
-    """Split a^k . b...b . a^m; return (k, core) with core bracketed by b."""
+def _bracket(map_kind: str, x: str) -> Optional[tuple[int, str]]:
+    """Split x as a . inner . b (mu, k = 0) or a^k . b inner b . a^m (M);
+    return (k, inner), or None when x has no such bracket."""
+    if map_kind == "mu":
+        return (0, x[1:-1]) if len(x) >= 2 and x[0] == "a" and x[-1] == "b" else None
     k = len(x) - len(x.lstrip("a"))
-    core = x[k:].rstrip("a")
-    if len(core) >= 2 and core[0] == "b" and core[-1] == "b":
-        return k, core
+    core = x[k:].rstrip("a")  # starts and ends with b when nonempty
+    return (k, core[1:-1]) if len(core) >= 2 else None
+
+
+def _identity1_witness(map_kind: str, bx: str, by: str) -> Optional[dict]:
+    """The inner words are exchanged by the map's involution."""
+    if by == _FAMILY_MAPS[map_kind][0](bx):
+        return {"family": "identity1", "inner": bx}
     return None
 
 
-def _M_identity1_witness(x: str, y: str) -> Optional[dict]:
-    px, py = _strip_a_runs(x), _strip_a_runs(y)
-    if not px or not py or px[0] != py[0]:
-        return None
-    if py[1][1:-1] == bar(px[1][1:-1]):
-        return {"family": "identity1", "inner": px[1][1:-1], "k": px[0]}
-    return None
-
-
-def _M_identity2_witness(x: str, y: str, w_bound: int) -> Optional[dict]:
-    px, py = _strip_a_runs(x), _strip_a_runs(y)
-    if not px or not py or px[0] != py[0]:
-        return None
-    bx, by = px[1][1:-1], py[1][1:-1]
-    if len(bx) != len(by) or len(bx) < 8:
-        return None
+def _identity2_witness(map_kind: str, bx: str, by: str, w_bound: int) -> Optional[dict]:
+    """Decompose the inner word bx as morphism_w(v) . w and check by against
+    morphism_w(partner(v)) . w."""
+    _, morphism, base = _FAMILY_MAPS[map_kind]
     n = len(bx)
+    if len(by) != n or n < base:
+        return None
     for wlen in range(0, w_bound + 1):
-        block = 2 * wlen + 8
+        block = 2 * wlen + base
         body_len = n - wlen
         if body_len < block or body_len % block:
             continue
-        w = bx[n - wlen:]
-        if by[n - wlen:] != w:
+        w = bx[body_len:]
+        if by[body_len:] != w:
             continue
-        images = phi(w)
-        v = _peel(bx[:n - wlen], images, block)
-        if v is None:
-            continue
-        if apply_morphism(images, partner(v)) + w == by:
-            return {"family": "identity2", "w": w, "v": v, "k": px[0]}
+        images = morphism(w)
+        v = _peel(bx[:body_len], images, block)
+        if v is not None and apply_morphism(images, partner(v)) + w == by:
+            return {"family": "identity2", "w": w, "v": v}
     return None
 
 

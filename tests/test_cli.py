@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,30 @@ def test_verify_identities_verdicts_carry_words(capsys):
         assert verdict["lhs"].startswith("a") and verdict["lhs"].endswith("b")
         assert sorted(verdict["lhs"]) == sorted(verdict["rhs"])
         assert verdict["equal"] is True
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--max-w", "--max-v", "--max-kmn"])
+def test_verify_identities_rejects_negative_counts(capsys, flag):
+    code, out, err = run_cli(capsys, "verify-identities", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be >= 0" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmarkoff.cli", "christoffel", "--max-len", "200",
+         "--format", "human"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"a\n"
+        proc.stdout.close()  # about 1.6 MB are still to come
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err

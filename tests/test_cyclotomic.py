@@ -29,6 +29,13 @@ def test_basic_reductions():
     assert CycInt.zeta_pow(1, 1) == CycInt.one(1)
 
 
+def test_str_prints_only_nonzero_coordinates():
+    assert str(CycInt(5, (0, -1, 0, 2))) == "-z5 + 2z5^3"
+    assert str(CycInt(6, (3, 0))) == "3"
+    assert str(CycInt(4, (-1, -2))) == "-1 - 2z4"
+    assert str(CycInt.zero(5)) == "0"
+
+
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         CycInt.one(3) + CycInt.one(4)

@@ -1,11 +1,13 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff.identities import (TAU, alternating_words, delta, eta, eta_prime,
-                                 partner, phi, psi, verify_identity1_M,
+from qmarkoff.identities import (FAMILIES, TAU, alternating_words, delta, eta,
+                                 eta_prime, identity2_M_words, partner, phi,
+                                 psi, verify_family, verify_identity1_M,
                                  verify_identity1_mu, verify_identity2_M,
                                  verify_identity2_mu)
 from qmarkoff.laurent import LaurentPoly
@@ -201,3 +203,19 @@ def test_second_family_words_against_mirror_route():
     x_inner = apply_morphism(psi(w), "a") + w
     y_inner = apply_morphism(psi(w), "b") + w
     assert mirror(x_inner) == y_inner
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_table_names_the_word_pair_parameters(family):
+    map_kind, words, names = FAMILIES[family]
+    assert map_kind in ("M", "mu")
+    assert tuple(inspect.signature(words).parameters)[1:] == names
+
+
+def test_verify_family_returns_both_words_and_the_verdict():
+    assert verify_family("1mu", "aab") == ("aaabb", "abaab", True)
+    x, y, equal = verify_family("2M", "ab", "ca", 1, 0, 2)
+    assert (x, y) == identity2_M_words("ab", "ca", 1, 0, 2)
+    assert equal and M_q(x).m12 == M_q(y).m12
+    with pytest.raises(KeyError):
+        verify_family("delta", "")

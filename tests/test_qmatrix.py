@@ -181,20 +181,25 @@ def _list_words(prefix, stop_len):
     return [w for w, _ in walk_words(LETTERS["M"], Mat2.identity(), stop_len, prefix)]
 
 
-@pytest.mark.parametrize("jobs, cpus, max_len, workers", [
-    (10 ** 6, 4, 6, 4),      # CPU count
-    (10 ** 6, None, 6, 1),   # unknown CPU count
-    (3, 8, 6, 3),            # requested jobs
-    (100, 1000, 5, 32),      # prefix count: depth min(7, 5) gives 32 prefixes
-])
-def test_fan_out_clamps_worker_count(monkeypatch, jobs, cpus, max_len, workers):
-    sizes = []
+FAN_OUT_CASES = [
+    # jobs, cpus, max_len, workers, prefixes mapped (0: in-process, no pool)
+    (10 ** 6, 4, 6, 4, 4),     # CPU count: 4 prefixes, not 2^6 from the raw jobs
+    (10 ** 6, None, 6, 1, 0),  # unknown CPU count
+    (3, 8, 6, 3, 4),           # requested jobs
+    (100, 1000, 5, 32, 32),    # prefix count: depth min(7, 5) gives 32 prefixes
+]
+
+
+@pytest.mark.parametrize("jobs, cpus, max_len, workers, prefixes", FAN_OUT_CASES,
+                         ids=["-".join(map(str, case[:4])) for case in FAN_OUT_CASES])
+def test_fan_out_clamps_worker_count(monkeypatch, jobs, cpus, max_len, workers, prefixes):
+    started = []  # (max_workers, number of prefixes mapped) per pool
 
     class SerialPool:
-        """In-process stand-in for the process pool; records its size."""
+        """In-process stand-in for the process pool; records its size and load."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -202,12 +207,13 @@ def test_fan_out_clamps_worker_count(monkeypatch, jobs, cpus, max_len, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, items, *iterables):
+            started.append((self.max_workers, len(items)))
+            return map(fn, items, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     parts = fan_out(_list_words, max_len, jobs)
-    assert sizes == [workers]
+    assert started == ([(workers, prefixes)] if prefixes else [])
     words = [w for part in parts for w in part]
     assert sorted(words) == sorted(iter_words("ab", max_len))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from qmarkoff.identities import FAMILIES
 from qmarkoff.markoff import markoff_numbers_up_to
 from qmarkoff.qmatrix import M_q, mu_q
 from qmarkoff.search import (Classification, SearchBoundError,
@@ -183,3 +186,47 @@ def test_injectivity_rejects_zero_length():
 def test_M_entries_invariant_under_trailing_a():
     for w in ("b", "ba", "ab", "bb", "bab"):
         assert M_q(w).m12 == M_q(w + "a").m12
+
+
+def _family_instances(family, count, seed, v=None):
+    """Seeded (params, x, y) instances of one identity family, built through
+    the family table; ``v`` overrides the drawn second-family word."""
+    rng = random.Random(seed)
+    _, words, names = FAMILIES[family]
+    for _ in range(count):
+        w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+        drawn = {name: rng.randint(0, 3) for name in "kmn"}
+        drawn["v"] = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 3)))
+        if v is not None:
+            drawn["v"] = v
+        params = {name: drawn[name] for name in names}
+        yield (params, *words(w, *params.values()))
+
+
+_FAMILY_KINDS = {"1": Classification.IDENTITY1, "2": Classification.IDENTITY2}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_instances_classify_as_their_family(family):
+    map_kind = FAMILIES[family][0]
+    expected = {_FAMILY_KINDS[family[0]], Classification.BOTH}
+    checked = 0
+    for params, x, y in _family_instances(family, 600, seed=len(family)):
+        if x == y or family == "2M" and params["v"] == "":
+            continue  # the empty-v 2M instances are the strict xfail below
+        kind = classify_pair(x, y, map_kind, require_collision=False).kind
+        assert kind in expected, (params, x, y, kind)
+        checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "2M pairs with v = '' are a^k b w b a^m and a^k b w b a^n: they differ only "
+    "in their trailing a-runs, which the witness finder strips and never matches"))
+def test_2M_instances_with_empty_v_classify_as_identity2():
+    pairs = [(x, y) for _, x, y in _family_instances("2M", 300, seed=2, v="") if x != y]
+    assert pairs
+    expected = {Classification.IDENTITY2, Classification.BOTH}
+    missed = [(x, y) for x, y in pairs
+              if classify_pair(x, y, "M", require_collision=False).kind not in expected]
+    assert not missed
