@@ -23,7 +23,7 @@ from .markoff import (MarkoffTriple, christoffel_entry_values, markoff_numbers,
                       markoff_numbers_up_to, triple_children)
 from .qmatrix import (L_Q, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q, S_MAT, CycMatrix,
                       M_q, Mat2, QMatrix, char_poly_scaled_a, mu_q,
-                      mu_q_via_sigma, walk_words)
+                      mu_q_via_sigma, prefix_products, walk_words)
 from .search import (Classification, CollisionGroup, CollisionReport,
                      InjectivityReport, PairClassification, SearchBoundError,
                      christoffel_injectivity, classify_pair, collide)
@@ -35,6 +35,7 @@ from .words import (BINARY, EXTENDED, SIGMA, apply_morphism, bar,
 __all__ = [
     "BINARY", "EXTENDED", "SIGMA", "TAU",
     "LaurentPoly", "Mat2", "QMatrix", "CycInt", "CycMatrix", "walk_words",
+    "prefix_products",
     "L_Q", "R_Q", "Q_Q", "Q_Q_INV", "S_MAT", "MU_A", "MU_B",
     "M_q", "mu_q", "mu_q_via_sigma", "char_poly_scaled_a",
     "mirror", "bar", "is_palindrome", "apply_morphism", "letter_counts",

@@ -1,20 +1,31 @@
 """2x2 matrices over a commutative ring, the two word-to-matrix
-homomorphisms, and the depth-first word walk shared by the searches.
+homomorphisms, the packed exact product engine behind them, and the word
+walks shared by the searches.
 
 ``M_q`` sends a to the lower-triangular generator and b to the
 upper-triangular one; ``mu_q`` sends each letter to a fixed product of those
 generators and recovers the classical Markoff matrices at q = 1.  The same
 ``Mat2`` type carries products over Z[q, q^-1], over Z (at q = 1) and over
 Z[zeta_k] (at roots of unity).
+
+Packed products (Kronecker substitution).  Every letter matrix has entries
+in N[q], so every word product does too, and each coefficient of an entry is
+at most that entry's value at q = 1.  With ``shift`` bits per coefficient,
+more than any such value needs, evaluation at q = 2^shift (``pack_poly``) is
+injective on those entries, and, being a ring homomorphism, it turns the
+whole word product into one product of integer matrices; ``unpack_poly``
+reads the coefficients back once at the end.  Intermediate packed products
+need no bound of their own: they are exact evaluations, not digit strings.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from functools import reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
-from typing import Callable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
 from .words import BINARY, SIGMA, apply_morphism, require_word
@@ -136,19 +147,59 @@ MU_B = R_Q * R_Q * L_Q * L_Q
 LETTERS = {"M": {"a": L_Q, "b": R_Q}, "mu": {"a": MU_A, "b": MU_B}}
 
 
-def _word_product(letters: Mapping[str, Mat2], w: str) -> Mat2:
+#: The letter matrices at q = 1, over Z.
+_LETTERS_AT_ONE = {kind: {ch: g.map(LaurentPoly.eval_at_one) for ch, g in letters.items()}
+                   for kind, letters in LETTERS.items()}
+
+
+def pack_poly(p: LaurentPoly, shift: int) -> int:
+    """p evaluated at q = 2^shift; injective on polynomials with nonnegative
+    exponents and coefficients below 2^shift."""
+    out = 0
+    for e, c in p.terms():
+        if e < 0 or c < 0:
+            raise ValueError("packing requires nonnegative exponents and coefficients")
+        out |= c << (shift * e)
+    return out
+
+
+def unpack_poly(packed: int, shift: int) -> LaurentPoly:
+    """The inverse of ``pack_poly`` for coefficients below 2^shift."""
+    mask = (1 << shift) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= shift
+    return LaurentPoly(0, coeffs)
+
+
+@lru_cache(maxsize=256)
+def packed_letters(map_kind: str, shift: int) -> Mapping[str, Mat2]:
+    """The letter matrices of ``map_kind`` packed with ``shift`` bits per
+    coefficient (cached: packing is a quarter of a short word's product)."""
+    return MappingProxyType({ch: g.map(partial(pack_poly, shift=shift))
+                             for ch, g in LETTERS[map_kind].items()})
+
+
+def _word_product(map_kind: str, w: str) -> Mat2:
     require_word(w, BINARY)
-    return reduce(operator.mul, (letters[ch] for ch in w), Mat2.identity())
+    int_one = Mat2.identity(1, 0)
+    at_one = reduce(operator.mul, (_LETTERS_AT_ONE[map_kind][ch] for ch in w), int_one)
+    # no coefficient of an entry exceeds the entry's value at q = 1
+    shift = max(max(at_one.entries()).bit_length(), 1)
+    letters = packed_letters(map_kind, shift)
+    packed = reduce(operator.mul, (letters[ch] for ch in w), int_one)
+    return packed.map(partial(unpack_poly, shift=shift))
 
 
 def M_q(w: str) -> Mat2:
     """Product of the letter generators of w (a -> L, b -> R); identity for the empty word."""
-    return _word_product(LETTERS["M"], w)
+    return _word_product("M", w)
 
 
 def mu_q(w: str) -> Mat2:
     """Product of the per-letter matrices MU_A and MU_B over w."""
-    return _word_product(LETTERS["mu"], w)
+    return _word_product("mu", w)
 
 
 def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
@@ -167,6 +218,26 @@ def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
         if len(w) < max_len:
             for ch, g in letters.items():
                 stack.append((w + ch, m * g))
+
+
+def prefix_products(letters: Mapping[str, Mat2], identity: Mat2,
+                    words: Iterable[str]) -> Iterator[tuple[str, Mat2]]:
+    """Yield (word, product of its letter matrices) for each of ``words``.
+
+    A stack holds the products of the current word's prefixes; each word
+    keeps the part it shares with the previous word and multiplies only the
+    rest.  Sorted input costs one multiplication per distinct nonempty
+    prefix, and memory stays at one matrix per letter of the longest word.
+    """
+    stack = [identity]
+    previous = ""
+    for w in words:
+        keep = len(os.path.commonprefix((previous, w)))
+        del stack[keep + 1:]
+        for ch in w[keep:]:
+            stack.append(stack[-1] * letters[ch])
+        previous = w
+        yield w, stack[-1]
 
 
 def fan_out(scan: Callable[[str, int], object], max_len: int, jobs: int) -> list:

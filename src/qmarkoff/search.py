@@ -2,13 +2,16 @@
 classification of colliding pairs against the identity families, and the
 Christoffel injectivity experiment.
 
-The enumeration packs each matrix entry into a single big integer (one limb
-per coefficient).  Both letter maps produce entries with nonnegative
-coefficients and no negative exponents, and the limb width is sized from an
-entrywise upper bound on the final coefficients, so packing is injective and
-matrix products become plain integer arithmetic.  Groups are keyed by the
-packed upper-right entry and re-verified afterwards against independently
-recomputed polynomials.
+The enumeration runs on the packed product engine of ``qmatrix``: each
+letter matrix is packed into integers (one limb of ``shift`` bits per
+coefficient, ``qmatrix.pack_poly``), so a word product is a product of
+integer matrices.  Both letter maps have entries in N[q], and the limb width
+comes from an entrywise upper bound on the q = 1 value of every product of
+max_len letters, which bounds every coefficient, so packing is injective.
+Groups are keyed by the packed upper-right entry, unpacked once per group,
+and re-verified afterwards on an independent route: every colliding word's
+12-entry is recomputed on ``LaurentPoly`` matrices, walking the sorted words
+with a prefix stack (one Laurent matrix product per distinct prefix).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Optional
 from .cyclotomic import eval_cyclotomic
 from .identities import partner, phi, psi
 from .laurent import LaurentPoly
-from .qmatrix import LETTERS, MU_A, MU_B, M_q, Mat2, fan_out, mu_q, walk_words
+from .qmatrix import (LETTERS, MU_A, MU_B, M_q, Mat2, fan_out, mu_q,
+                      packed_letters, prefix_products, unpack_poly, walk_words)
 from .words import (BINARY, apply_morphism, bar, christoffel_fold,
                     letter_counts, mirror, require_word)
 
@@ -94,12 +98,23 @@ class CollisionReport:
                 "unexplained_present": self.has_unexplained}
 
 
-class SearchBoundError(RuntimeError):
-    """Raised when a search would exceed the configured safety bound."""
+#: Peak resident bytes per searched word of ``qmarkoff collide``, classify and
+#: JSON output included: the rise in peak RSS from --max-len 13 to 14 over the
+#: 16,384 added words (Python 3.11, x86-64; M 116.9 -> 219.7 MiB, mu 42.7 ->
+#: 68.8 MiB; from 12 to 13 the slopes were 6,450 and 1,590 bytes), rounded up.
+#: M costs more because its groups, and so its pairs, are far larger.
+_BYTES_PER_WORD = {"M": 6600, "mu": 1700}
 
-    def __init__(self, max_len: int, bound: int) -> None:
+
+class SearchBoundError(RuntimeError):
+    """Raised when a search would exceed the configured safety bound.
+
+    The memory estimate uses the measured figure of ``map_kind``; the default,
+    M, is the larger one."""
+
+    def __init__(self, max_len: int, bound: int, map_kind: str = "M") -> None:
         words = 2 ** (max_len + 1) - 1
-        est_mb = words * 2500 // (1 << 20)  # packed matrix rows plus word strings
+        est_mb = words * _BYTES_PER_WORD[map_kind] // (1 << 20)
         super().__init__(
             f"max_len {max_len} exceeds the safety bound {bound}: "
             f"{words} words, roughly {est_mb} MiB; raise the bound explicitly to proceed")
@@ -116,32 +131,13 @@ def _coefficient_bound(map_kind: str, max_len: int) -> int:
     return max(reduce(operator.mul, [s] * max_len, Mat2.identity(1, 0)).entries())
 
 
-def _pack_poly(p: LaurentPoly, shift: int) -> int:
-    out = 0
-    for e, c in p.terms():
-        if e < 0 or c < 0:
-            raise ValueError("packed search requires nonnegative exponents and coefficients")
-        out |= c << (shift * e)
-    return out
-
-
-def _unpack_poly(packed: int, shift: int) -> LaurentPoly:
-    mask = (1 << shift) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & mask)
-        packed >>= shift
-    return LaurentPoly(0, coeffs)
-
-
 def _scan_words(map_kind: str, shift: int, prefix: str,
                 max_len: int) -> dict[int, list[str]]:
     """Packed 12-entry -> words, for all words extending ``prefix`` with
     length in [len(prefix), max_len]."""
-    letters = {ch: g.map(partial(_pack_poly, shift=shift))
-               for ch, g in LETTERS[map_kind].items()}
     buckets: dict[int, list[str]] = {}
-    for w, m in walk_words(letters, Mat2.identity(1, 0), max_len, prefix):
+    for w, m in walk_words(packed_letters(map_kind, shift), Mat2.identity(1, 0),
+                           max_len, prefix):
         buckets.setdefault(m.m12, []).append(w)
     return buckets
 
@@ -271,9 +267,28 @@ def _chain_upgrade(words: tuple[str, ...],
     return out
 
 
+def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
+    """Bucket soundness: recompute the 12-entry of every colliding word on
+    LaurentPoly matrices, independently of the packed route, and raise
+    AssertionError naming the first word whose entry differs from its group's.
+
+    The words are walked in sorted order with ``prefix_products``, so the
+    check costs one Laurent matrix product per distinct prefix."""
+    expected = {w: g.polynomial for g in groups for w in g.words}
+    for w, m in prefix_products(LETTERS[map_kind], Mat2.identity(), sorted(expected)):
+        if m.m12 != expected[w]:
+            raise AssertionError(f"packed bucket mismatch for word {w!r}")
+
+
 def collide(map_kind: str, max_len: int, *, jobs: int = 1,
             safety_bound: int = 16, classify: bool = True) -> CollisionReport:
     """All maximal groups of words of length <= max_len sharing their 12-entry.
+
+    The scan buckets every word by its packed 12-entry (one integer matrix
+    product per word, limbs sized by ``_coefficient_bound``).  Every word of
+    a group of two or more is then checked on ``LaurentPoly`` matrices, one
+    product per distinct prefix of the sorted colliding words; a word whose
+    entry differs from its group's raises AssertionError naming it.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word, independent of the worker count.
@@ -283,7 +298,7 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if max_len > safety_bound:
-        raise SearchBoundError(max_len, safety_bound)
+        raise SearchBoundError(max_len, safety_bound, map_kind)
     shift = _coefficient_bound(map_kind, max_len).bit_length() + 1
     buckets, *parts = fan_out(partial(_scan_words, map_kind, shift), max_len, jobs)
     for part in parts:
@@ -292,21 +307,17 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
     words_searched = sum(len(ws) for ws in buckets.values())
 
     groups = []
-    direct_fn = _word_map(map_kind)
     for key, ws in buckets.items():
         if len(ws) < 2:
             continue
         ws = sorted(ws, key=lambda w: (len(w), w))
-        poly = _unpack_poly(key, shift)
-        # bucket soundness: confirm with independently recomputed polynomials
-        for w in ws:
-            if direct_fn(w).m12 != poly:
-                raise AssertionError(f"packed bucket mismatch for word {w!r}")
+        poly = unpack_poly(key, shift)
         if map_kind == "mu" and len({letter_counts(w) for w in ws}) != 1:
             # the zeta_6 image pins both letter counts, so this cannot happen
             raise AssertionError(f"mu collision group mixes letter counts: {ws}")
         groups.append(CollisionGroup(poly, tuple(ws)))
     groups.sort(key=lambda g: (len(g.words[0]), g.words[0]))
+    _verify_groups(map_kind, groups)
 
     classifications: list[PairClassification] = []
     if classify:

@@ -1,15 +1,18 @@
 import concurrent.futures
+import operator
 import os
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
-                              fan_out, mu_q, mu_q_via_sigma, walk_words)
+                              fan_out, mu_q, mu_q_via_sigma, pack_poly,
+                              prefix_products, unpack_poly, walk_words)
 from qmarkoff.words import bar, iter_words
 
 from oracle import letter_product_at, matrix_at
@@ -217,3 +220,70 @@ def test_fan_out_clamps_worker_count(monkeypatch, jobs, cpus, max_len, workers, 
     assert started == ([(workers, prefixes)] if prefixes else [])
     words = [w for part in parts for w in part]
     assert sorted(words) == sorted(iter_words("ab", max_len))
+
+
+@pytest.fixture(scope="module")
+def sympy_route():
+    """Letter matrices of both maps over sympy's Z[q], built from the two
+    displayed generators rather than the package's constants, and the
+    identity; products over this ring are sympy's exact expansion."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    q = sympy.Symbol("q")
+    ring = sympy.ZZ[q]
+    lower = sympy.Matrix([[q, 0], [q, 1]])
+    upper = sympy.Matrix([[q, 1], [0, 1]])
+    symbolic = {"M": {"a": lower, "b": upper},
+                "mu": {"a": upper * lower, "b": upper * upper * lower * lower}}
+    letters = {kind: {ch: DomainMatrix.from_Matrix(m.expand()).convert_to(ring)
+                      for ch, m in pair.items()}
+               for kind, pair in symbolic.items()}
+    return letters, DomainMatrix.eye(2, ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text(alphabet="ab", max_size=60))
+@example("")
+@example("a" * 60)
+@example("b" * 60)
+def test_packed_maps_match_laurent_and_sympy_products(sympy_route, w):
+    letters, identity = sympy_route
+    for kind, word_map in (("M", M_q), ("mu", mu_q)):
+        packed = word_map(w)
+        laurent = reduce(operator.mul, (LETTERS[kind][ch] for ch in w), Mat2.identity())
+        assert packed == laurent
+        expanded = reduce(operator.mul, (letters[kind][ch] for ch in w), identity)
+        entries = [{e: int(c) for (e,), c in entry.items()}
+                   for row in expanded.to_list() for entry in row]
+        assert [dict(p.terms()) for p in packed.entries()] == entries
+    if "b" not in w:
+        assert M_q(w).m12.is_zero()
+
+
+def test_pack_round_trip():
+    p = LaurentPoly(0, (3, 0, 7, 1))
+    assert unpack_poly(pack_poly(p, 3), 3) == p
+    assert unpack_poly(pack_poly(ZERO, 1), 1) == ZERO
+    with pytest.raises(ValueError):
+        pack_poly(LaurentPoly.q(-1), 4)
+    with pytest.raises(ValueError):
+        pack_poly(LaurentPoly.from_int(-2), 4)
+
+
+@pytest.mark.parametrize("kind", ["M", "mu"])
+def test_prefix_products_share_prefixes(kind):
+    class Counting(Mat2):
+        calls = 0
+
+        def __mul__(self, other):
+            Counting.calls += 1
+            return Counting(*Mat2.__mul__(self, other).entries())
+
+    letters = {ch: Counting(*g.entries()) for ch, g in LETTERS[kind].items()}
+    words = sorted(["", "ab", "abba", "abb", "b", "ab"] + list(iter_words("ab", 3)))
+    walked = list(prefix_products(letters, Counting(*Mat2.identity().entries()), words))
+    assert [w for w, _ in walked] == words
+    assert all(m == (M_q if kind == "M" else mu_q)(w) for w, m in walked)
+    # one product per distinct nonempty prefix: the 14 words of length 1..3, plus "abba"
+    assert Counting.calls == 15

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from qmarkoff import search
 from qmarkoff.identities import FAMILIES
 from qmarkoff.markoff import markoff_numbers_up_to
 from qmarkoff.qmatrix import M_q, mu_q
@@ -137,8 +139,31 @@ def test_safety_bound_refusal():
     with pytest.raises(SearchBoundError) as err:
         collide("mu", 6, safety_bound=5)
     assert "safety bound" in str(err.value)
+    # the estimate uses the measured per-word figure of each map
+    assert "roughly 53 MiB" in str(SearchBoundError(14, 13, "mu"))
+    assert "roughly 206 MiB" in str(SearchBoundError(14, 13, "M"))
     # raising the bound permits the same search
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+def test_bucket_soundness_check_catches_a_wrong_polynomial(monkeypatch, map_kind):
+    tampered = []
+
+    def unpack_one_off(packed, shift):
+        poly = unpack_poly(packed, shift)
+        if not tampered:
+            poly = poly + 1
+            tampered.append(poly)
+        return poly
+
+    unpack_poly = search.unpack_poly
+    monkeypatch.setattr(search, "unpack_poly", unpack_one_off)
+    with pytest.raises(AssertionError, match="packed bucket mismatch for word") as err:
+        collide(map_kind, 8)
+    word = re.search(r"word '([ab]*)'", str(err.value)).group(1)
+    word_map = M_q if map_kind == "M" else mu_q
+    assert word_map(word).m12 + 1 == tampered[0]
 
 
 def test_collide_validates_arguments():
