@@ -3,9 +3,10 @@
 One binary with subcommands; JSON output is byte-deterministic for identical
 invocations, all big integers are emitted as decimal strings, and CSV comes
 with a header row.  Exit codes: 0 success, 1 verify-identities found a
-failing case, 2 usage or validation error (including a bad QMARKOFF_JOBS),
-3 unexplained collision pairs found (evidence signal), 4 resource bound hit,
-141 stdout was closed before the output was written (e.g. piped into head).
+failing case, 2 usage or validation error (including a --jobs or
+QMARKOFF_JOBS value that is not an integer >= 1), 3 unexplained collision
+pairs found (evidence signal), 4 resource bound hit, 141 stdout was closed
+before the output was written (e.g. piped into head).
 """
 
 from __future__ import annotations
@@ -35,6 +36,56 @@ EXIT_RESOURCE = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
 
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    The standard library writes indented JSON with its pure-Python encoder,
+    one small string per token.  Here each dict, list or tuple is one
+    ``str.join`` of its items' texts, strings use the C string encoder, each
+    distinct string key is encoded once, and a leaf other than a str, int,
+    bool or None goes to ``json.dumps``, which writes leaves as the indented
+    encoder does.
+    """
+    encode = json.encoder.encode_basestring_ascii
+    key_heads: dict[str, str] = {}
+
+    def head(key: object) -> str:
+        if isinstance(key, str):
+            text = key_heads[key] = encode(key) + ": "
+            return text
+        if key is None or isinstance(key, (int, float)):
+            return encode(json.dumps(key)) + ": "
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+
+    def render(value: object, newline: str) -> str:
+        if type(value) is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        inner = newline + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            return ("{" + inner + ("," + inner).join([
+                (key_heads.get(k) or head(k))
+                + (encode(v) if type(v) is str else render(v, inner))
+                for k, v in sorted(value.items())]) + newline + "}")
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            return ("[" + inner + ("," + inner).join([
+                encode(v) if type(v) is str else render(v, inner) for v in value])
+                + newline + "]")
+        return json.dumps(value)  # any other leaf, e.g. a float or a str subclass
+
+    return render(obj, "\n")
+
+
 def _emit(fmt: str, json_of: Callable[[], object], header: list[str],
           rows: Iterable, human: Optional[Iterable[str]] = None) -> None:
     """Write one result to stdout in ``fmt``.
@@ -44,7 +95,7 @@ def _emit(fmt: str, json_of: Callable[[], object], header: list[str],
     A command without a human form (``human`` None) prints CSV instead.
     """
     if fmt == "json":
-        print(json.dumps(json_of(), sort_keys=True, indent=2))
+        print(_json_text(json_of()))
     elif fmt == "csv" or human is None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -215,6 +266,17 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--jobs`` (and so of ``QMARKOFF_JOBS``): an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmarkoff",
@@ -230,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default=format_default)
-        p.add_argument("--jobs", type=int,
+        p.add_argument("--jobs", type=_positive_int,
                        default=os.environ.get("QMARKOFF_JOBS", "1"),
                        help="worker processes (default from QMARKOFF_JOBS, else 1)")
         p.set_defaults(func=func)

@@ -154,6 +154,15 @@ class LaurentPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return LaurentPoly()
+        if len(a) == 1 or len(b) == 1:
+            # c q^e times p: p's coefficients scaled by c and shifted by e.
+            # Z has no zero divisors, so the end coefficients stay nonzero
+            # and the result is canonical without the constructor's scan.
+            (c,), rest = (a, b) if len(a) == 1 else (b, a)
+            product = LaurentPoly.__new__(LaurentPoly)
+            product._min = self._min + other._min
+            product._coeffs = rest if c == 1 else tuple([c * x for x in rest])
+            return product
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -220,16 +220,17 @@ def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
                 stack.append((w + ch, m * g))
 
 
-def prefix_products(letters: Mapping[str, Mat2], identity: Mat2,
+def prefix_products(letters: Mapping[str, Mat2], start: Mat2,
                     words: Iterable[str]) -> Iterator[tuple[str, Mat2]]:
-    """Yield (word, product of its letter matrices) for each of ``words``.
+    """Yield (word, ``start`` times the product of its letter matrices) for
+    each of ``words``; ``start`` is usually the identity.
 
     A stack holds the products of the current word's prefixes; each word
     keeps the part it shares with the previous word and multiplies only the
     rest.  Sorted input costs one multiplication per distinct nonempty
     prefix, and memory stays at one matrix per letter of the longest word.
     """
-    stack = [identity]
+    stack = [start]
     previous = ""
     for w in words:
         keep = len(os.path.commonprefix((previous, w)))

@@ -11,7 +11,8 @@ max_len letters, which bounds every coefficient, so packing is injective.
 Groups are keyed by the packed upper-right entry, unpacked once per group,
 and re-verified afterwards on an independent route: every colliding word's
 12-entry is recomputed on ``LaurentPoly`` matrices, walking the sorted words
-with a prefix stack (one Laurent matrix product per distinct prefix).
+with a prefix stack (one Laurent matrix product per distinct prefix) and
+carrying only the first row of each product, which holds the 12-entry.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 from .cyclotomic import eval_cyclotomic
 from .identities import partner, phi, psi
-from .laurent import LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly
 from .qmatrix import (LETTERS, MU_A, MU_B, M_q, Mat2, fan_out, mu_q,
                       packed_letters, prefix_products, unpack_poly, walk_words)
 from .words import (BINARY, apply_morphism, bar, christoffel_fold,
@@ -273,9 +274,14 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     AssertionError naming the first word whose entry differs from its group's.
 
     The words are walked in sorted order with ``prefix_products``, so the
-    check costs one Laurent matrix product per distinct prefix."""
+    check costs one Laurent matrix product per distinct prefix.  The walk
+    starts from e1 e1^T = [[1, 0], [0, 0]] instead of the identity: each
+    product then carries only the first row of the word's matrix, whose
+    second entry is the 12-entry, and the zero second row costs no
+    convolution."""
     expected = {w: g.polynomial for g in groups for w in g.words}
-    for w, m in prefix_products(LETTERS[map_kind], Mat2.identity(), sorted(expected)):
+    first_row = Mat2(ONE, ZERO, ZERO, ZERO)
+    for w, m in prefix_products(LETTERS[map_kind], first_row, sorted(expected)):
         if m.m12 != expected[w]:
             raise AssertionError(f"packed bucket mismatch for word {w!r}")
 
@@ -287,8 +293,8 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
     The scan buckets every word by its packed 12-entry (one integer matrix
     product per word, limbs sized by ``_coefficient_bound``).  Every word of
     a group of two or more is then checked on ``LaurentPoly`` matrices, one
-    product per distinct prefix of the sorted colliding words; a word whose
-    entry differs from its group's raises AssertionError naming it.
+    first-row product per distinct prefix of the sorted colliding words; a
+    word whose entry differs from its group's raises AssertionError naming it.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word, independent of the worker count.

@@ -39,3 +39,13 @@ def matrix_at(qm, x):
     """Evaluate all four entries of a QMatrix at the rational point x."""
     a, b, c, d = qm.entries()
     return ((eval_poly(a, x), eval_poly(b, x)), (eval_poly(c, x), eval_poly(d, x)))
+
+
+def poly_mul(p, r):
+    """Product of two LaurentPolys as a dict exponent -> nonzero coefficient,
+    convolving the terms their public accessor yields."""
+    out = {}
+    for e, c in p.terms():
+        for f, d in r.terms():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}

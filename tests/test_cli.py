@@ -7,10 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qmarkoff.cli import main
+from qmarkoff.cli import _json_text, main
+from qmarkoff.cyclotomic import residue_relation_check
 from qmarkoff.laurent import LaurentPoly
 from qmarkoff.qmatrix import QMatrix
+from qmarkoff.search import collide
 
 
 def run_cli(capsys, *argv):
@@ -180,11 +184,18 @@ def test_jobs_default_from_environment(monkeypatch):
     monkeypatch.setenv("QMARKOFF_JOBS", "3")
     parser = cli.build_parser()
     assert parser.parse_args(["collide", "--max-len", "4"]).jobs == 3
-    # a bad value is a usage error (exit 2), not a traceback
-    monkeypatch.setenv("QMARKOFF_JOBS", "x")
-    with pytest.raises(SystemExit) as exc:
-        main(["collide", "--max-len", "4"])
-    assert exc.value.code == 2
+    # a bad value, in the environment or on the command line, is a usage
+    # error (exit 2), not a traceback and not a silent serial run
+    for bad in ("x", "0", "-2"):
+        monkeypatch.setenv("QMARKOFF_JOBS", bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["collide", "--max-len", "4"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("QMARKOFF_JOBS", "1")
+        for command in (["collide", "--max-len", "4"], ["residues", "--k", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--jobs", bad])
+            assert exc.value.code == 2
 
 
 def test_verify_identities_verdicts_carry_words(capsys):
@@ -223,3 +234,35 @@ def test_closed_stdout_exits_without_traceback():
         proc.kill()
         proc.wait()
     assert "Traceback" not in err
+
+
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "é", "\u2028", "日本", "\U0001f600"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+    | st.integers(min_value=-(2 ** 200), max_value=-1)
+    | st.floats(allow_nan=False, allow_infinity=False) | json_strings,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(json_strings, inner)
+                   | st.dictionaries(st.integers(), inner)),
+    max_leaves=30)
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@given(json_values)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [[], {}, ()], "": [{"x": []}]})
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == _dumps(value)
+
+
+def test_json_writer_matches_json_dumps_on_reports():
+    for report in (collide("M", 10), collide("mu", 12), residue_relation_check(5, 10)):
+        data = report.to_json_dict()
+        assert _json_text(data) == _dumps(data)

@@ -2,6 +2,7 @@ import json
 
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle import poly_mul
 
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 
@@ -62,6 +63,32 @@ def test_power_matches_repeated_product(p, n):
 @given(small_polys, st.integers(min_value=-4, max_value=4))
 def test_shift_is_monomial_multiplication(p, e):
     assert p.shift(e) == p * LaurentPoly.q(e)
+
+
+monomials = st.builds(
+    LaurentPoly.q,
+    st.integers(min_value=-6, max_value=6),
+    st.sampled_from([1, -1]) | st.integers(min_value=-(10 ** 30), max_value=10 ** 30).filter(bool),
+)
+
+
+@given(small_polys, monomials)
+def test_monomial_products_match_the_oracle(p, m):
+    expected = poly_mul(p, m)
+    products = [p * m, m * p]
+    if m.min_degree == 0:  # an int factor takes the same route
+        (c,) = m.coefficients
+        products += [p * c, c * p]
+    for product in products:
+        assert dict(product.terms()) == expected
+        # canonical: nonzero end coefficients, the zero polynomial at degree 0
+        cs = product.coefficients
+        if cs:
+            assert cs[0] and cs[-1]
+            assert product.min_degree == min(expected)
+        else:
+            assert product.min_degree == 0 and not expected
+        assert product == products[0]
 
 
 def test_eval_at_one():

@@ -146,24 +146,38 @@ def test_safety_bound_refusal():
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
 
 
-@pytest.mark.parametrize("map_kind", ["M", "mu"])
-def test_bucket_soundness_check_catches_a_wrong_polynomial(monkeypatch, map_kind):
+def _plus_one(poly):
+    return poly + 1
+
+
+def _times_q(poly):
+    # a slip of the minimum degree alone, as a wrong monomial product makes
+    return poly.shift(1)
+
+
+@pytest.mark.parametrize("map_kind, tamper", [
+    pytest.param("M", _plus_one, id="M"),
+    pytest.param("mu", _plus_one, id="mu"),
+    pytest.param("M", _times_q, id="M-shift"),
+    pytest.param("mu", _times_q, id="mu-shift"),
+])
+def test_bucket_soundness_check_catches_a_wrong_polynomial(monkeypatch, map_kind, tamper):
     tampered = []
 
-    def unpack_one_off(packed, shift):
+    def unpack_tampered(packed, shift):
         poly = unpack_poly(packed, shift)
-        if not tampered:
-            poly = poly + 1
+        if not tampered and tamper(poly) != poly:  # M's bucket of a^n holds 0
+            poly = tamper(poly)
             tampered.append(poly)
         return poly
 
     unpack_poly = search.unpack_poly
-    monkeypatch.setattr(search, "unpack_poly", unpack_one_off)
+    monkeypatch.setattr(search, "unpack_poly", unpack_tampered)
     with pytest.raises(AssertionError, match="packed bucket mismatch for word") as err:
         collide(map_kind, 8)
     word = re.search(r"word '([ab]*)'", str(err.value)).group(1)
     word_map = M_q if map_kind == "M" else mu_q
-    assert word_map(word).m12 + 1 == tampered[0]
+    assert tamper(word_map(word).m12) == tampered[0]
 
 
 def test_collide_validates_arguments():
