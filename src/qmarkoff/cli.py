@@ -256,7 +256,7 @@ def _cmd_markoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    rows = figure2_rows(args.max_len)
+    rows = figure2_rows(args.max_len, args.jobs)
     _emit(args.format,
           lambda: [{"residue_class": r, "coords": list(coords),
                     "re_approx": f"{re:.15g}", "im_approx": f"{im:.15g}"}

@@ -4,6 +4,12 @@ recovery, finite monoid closures and residue-class correspondences.
 
 All geometry is done by exact integer linear algebra in the basis
 {1, zeta_6}; no floating point is ever consulted for a classification.
+
+The residue check folds each word's packed mu 12-entry p modulo
+2^(k*shift) - 1, the cyclic wraparound of Schönhage-Strassen multiplication,
+into p modulo q^k - 1 (``_residue_walk``): p(1) and p(zeta_k) with no CycInt
+product.  It is exact because p has coefficients in N and ``shift`` comes
+from ``qmatrix.max_entry_at_one`` with a spare bit, so no limb carries.
 """
 
 from __future__ import annotations
@@ -11,10 +17,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .laurent import LaurentPoly, format_terms
-from .qmatrix import LETTERS, MU_A, MU_B, Mat2, fan_out, walk_words
+from .qmatrix import MU_A, MU_B, Mat2, fan_out, max_entry_at_one, packed_letters, walk_words
 
 _DEGREE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 # x**deg reduced: constant-first coefficient rows of the minimal polynomials
@@ -360,28 +366,39 @@ class ResidueReport:
         return data
 
 
-def _scan_residues(k: int, prefix: str, max_len: int) -> tuple[int, list[str], dict]:
-    """Walk all words extending ``prefix`` up to max_len, carrying both the
-    integer matrix at q=1 and the CycInt matrix at zeta_k incrementally."""
-    at_one = {ch: g.map(LaurentPoly.eval_at_one) for ch, g in LETTERS["mu"].items()}
-    at_zeta = {ch: evaluate_matrix(g, k) for ch, g in LETTERS["mu"].items()}
-    walk_one = walk_words(at_one, Mat2.identity(1, 0), max_len, prefix)
-    walk_zeta = walk_words(at_zeta, Mat2.identity(CycInt.one(k), CycInt.zero(k)),
-                           max_len, prefix)
+def _residue_walk(k: int, shift: int, prefix: str,
+                  max_len: int) -> Iterator[tuple[str, int, tuple[int, ...]]]:
+    """Yield (w, p(1), coordinates of p(zeta_k)) for the mu 12-entry p of
+    every word w extending ``prefix`` up to max_len, from one packed walk.
+
+    The walk gives x = p(2^shift).  Modulo N = 2^(k*shift) - 1, where
+    2^(k*shift) = 1, the k limbs of ``shift`` bits of x are the sums of p's
+    coefficients over the exponent classes mod k, that is p modulo q^k - 1:
+    they sum to p(1), and ``_reduce`` by the minimal polynomial evaluates
+    them at zeta_k.  Exact because p has coefficients in N, so each class
+    sum is at most p(1), and the caller sizes ``shift`` from
+    ``qmatrix.max_entry_at_one`` with a spare bit: no limb carries, and
+    x mod N is never N.
+    """
+    modulus, mask = (1 << (k * shift)) - 1, (1 << shift) - 1
+    offsets = range(0, k * shift, shift)
+    for w, m in walk_words(packed_letters("mu", shift), Mat2.identity(1, 0), max_len, prefix):
+        x = m.m12 % modulus
+        limbs = [(x >> o) & mask for o in offsets]
+        yield w, sum(limbs), _reduce(limbs, k)
+
+
+def _scan_residues(k: int, shift: int, prefix: str, max_len: int) -> tuple[int, list[str], dict]:
+    """Over ``_residue_walk``: the word count, the words breaking the residue
+    correspondence (k = 2..4) and residue -> zeta_k coordinates (k = 5)."""
     table = _RESIDUE_CLASSES.get(k)
-    checked = 0
-    violations: list[str] = []
-    partition: dict[int, set] = {}
-    for (w, m1), (_, mz) in zip(walk_one, walk_zeta):
+    checked, violations, partition = 0, [], {}
+    for w, at_one, coords in _residue_walk(k, shift, prefix, max_len):
         checked += 1
-        residue = m1.m12 % k
-        value = mz.m12
-        if table is not None:
-            allowed = table.get(value.coords)
-            if allowed is None or residue not in allowed:
-                violations.append(w)
-        else:
-            partition.setdefault(residue, set()).add(value)
+        if table is None:
+            partition.setdefault(at_one % k, set()).add(coords)
+        elif at_one % k not in table.get(coords, ()):
+            violations.append(w)
     return checked, violations, partition
 
 
@@ -393,8 +410,9 @@ def residue_relation_check(k: int, max_len: int, jobs: int = 1) -> ResidueReport
         raise ValueError(f"k must be in 2..5, got {k}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    shift = max_entry_at_one("mu", max_len).bit_length() + 1
     (checked, violations, partition), *parts = fan_out(
-        partial(_scan_residues, k), max_len, jobs)
+        partial(_scan_residues, k, shift), max_len, jobs)
     for c, v, p in parts:
         checked += c
         violations.extend(v)
@@ -406,20 +424,21 @@ def residue_relation_check(k: int, max_len: int, jobs: int = 1) -> ResidueReport
     sizes = {r: len(vals) for r, vals in partition.items()}
     all_values = set().union(*partition.values()) if partition else set()
     disjoint = sum(sizes.values()) == len(all_values)
-    ordered = {r: tuple(sorted(vals, key=lambda v: v.coords))
+    ordered = {r: tuple(CycInt(k, c) for c in sorted(vals))
                for r, vals in sorted(partition.items())}
     return ResidueReport(k, max_len, checked, tuple(violations),
                          distinct_values=len(all_values), partition_sizes=sizes,
                          classes_disjoint=disjoint, partition=ordered)
 
 
-def figure2_rows(max_len: int = 10) -> list[tuple[int, tuple[int, ...], float, float]]:
+def figure2_rows(max_len: int = 10,
+                 jobs: int = 1) -> list[tuple[int, tuple[int, ...], float, float]]:
     """Point cloud of the zeta_5 values labelled by the q=1 residue class.
 
     Each row is (residue_class, exact coordinates, approximate real part,
     approximate imaginary part); the float columns are for plotting only.
     """
-    report = residue_relation_check(5, max_len)
+    report = residue_relation_check(5, max_len, jobs)
     rows = []
     for r, values in report.partition.items():
         for v in values:

@@ -16,6 +16,7 @@ injective on those entries, and, being a ring homomorphism, it turns the
 whole word product into one product of integer matrices; ``unpack_poly``
 reads the coefficients back once at the end.  Intermediate packed products
 need no bound of their own: they are exact evaluations, not digit strings.
+A walk over all words up to a length sizes its limbs by ``max_entry_at_one``.
 """
 
 from __future__ import annotations
@@ -179,6 +180,20 @@ def packed_letters(map_kind: str, shift: int) -> Mapping[str, Mat2]:
     coefficient (cached: packing is a quarter of a short word's product)."""
     return MappingProxyType({ch: g.map(partial(pack_poly, shift=shift))
                              for ch, g in LETTERS[map_kind].items()})
+
+
+def max_entry_at_one(map_kind: str, max_len: int) -> int:
+    """The largest entry of U_0 = I, U_1, ..., U_max_len, where U_n is the
+    entrywise max over letters g of U_(n-1) g at q = 1.  The letter matrices
+    are nonnegative, so it bounds every q = 1 entry, and so every coefficient,
+    of every word of length <= max_len.  It is exact for mu, where U_n is the
+    q = 1 matrix of b^n, since mu(a) <= mu(b) entrywise at q = 1."""
+    letters = _LETTERS_AT_ONE[map_kind].values()
+    u, bound = Mat2.identity(1, 0), 1
+    for _ in range(max_len):
+        u = Mat2(*map(max, *((u * g).entries() for g in letters)))
+        bound = max(bound, *u.entries())
+    return bound
 
 
 def _word_product(map_kind: str, w: str) -> Mat2:

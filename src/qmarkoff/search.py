@@ -6,8 +6,8 @@ The enumeration runs on the packed product engine of ``qmatrix``: each
 letter matrix is packed into integers (one limb of ``shift`` bits per
 coefficient, ``qmatrix.pack_poly``), so a word product is a product of
 integer matrices.  Both letter maps have entries in N[q], and the limb width
-comes from an entrywise upper bound on the q = 1 value of every product of
-max_len letters, which bounds every coefficient, so packing is injective.
+comes from ``qmatrix.max_entry_at_one``, a bound on the q = 1 entries of all
+words up to max_len, which bounds every coefficient: packing is injective.
 Groups are keyed by the packed upper-right entry, unpacked once per group,
 and re-verified afterwards on an independent route: every colliding word's
 12-entry is recomputed on ``LaurentPoly`` matrices, walking the sorted words
@@ -20,13 +20,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial, reduce
+from functools import partial
 from typing import Optional
 
 from .cyclotomic import eval_cyclotomic
 from .identities import partner, phi, psi
 from .laurent import ONE, ZERO, LaurentPoly
-from .qmatrix import (LETTERS, MU_A, MU_B, M_q, Mat2, fan_out, mu_q,
+from .qmatrix import (LETTERS, M_q, Mat2, fan_out, max_entry_at_one, mu_q,
                       packed_letters, prefix_products, unpack_poly, walk_words)
 from .words import (BINARY, apply_morphism, bar, christoffel_fold,
                     letter_counts, mirror, require_word)
@@ -121,15 +121,6 @@ class SearchBoundError(RuntimeError):
             f"{words} words, roughly {est_mb} MiB; raise the bound explicitly to proceed")
         self.max_len = max_len
         self.bound = bound
-
-
-def _coefficient_bound(map_kind: str, max_len: int) -> int:
-    """Entrywise bound on product coefficients: the matching entry of the
-    q=1 sum of the two letter matrices raised to max_len dominates every
-    coefficient of every entry of every product of max_len letter matrices."""
-    letters = LETTERS[map_kind]
-    s = (letters["a"] + letters["b"]).map(LaurentPoly.eval_at_one)
-    return max(reduce(operator.mul, [s] * max_len, Mat2.identity(1, 0)).entries())
 
 
 def _scan_words(map_kind: str, shift: int, prefix: str,
@@ -291,7 +282,7 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
     """All maximal groups of words of length <= max_len sharing their 12-entry.
 
     The scan buckets every word by its packed 12-entry (one integer matrix
-    product per word, limbs sized by ``_coefficient_bound``).  Every word of
+    product per word, limbs sized by ``max_entry_at_one``).  Every word of
     a group of two or more is then checked on ``LaurentPoly`` matrices, one
     first-row product per distinct prefix of the sorted colliding words; a
     word whose entry differs from its group's raises AssertionError naming it.
@@ -305,7 +296,7 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
         raise ValueError("max_len must be >= 0")
     if max_len > safety_bound:
         raise SearchBoundError(max_len, safety_bound, map_kind)
-    shift = _coefficient_bound(map_kind, max_len).bit_length() + 1
+    shift = max_entry_at_one(map_kind, max_len).bit_length() + 1
     buckets, *parts = fan_out(partial(_scan_words, map_kind, shift), max_len, jobs)
     for part in parts:
         for key, ws in part.items():
@@ -365,19 +356,21 @@ def christoffel_injectivity(max_len: int) -> InjectivityReport:
     check that the polynomials, their zeta_6 images, and the letter-count
     pairs are pairwise distinct.
 
-    Matrices are built along the Christoffel tree (one multiplication per
-    node, reusing both factors), so the cost is linear in the word count.
+    Packed matrices are built along the Christoffel tree (one multiplication
+    per node, reusing both factors), so the cost is linear in the word count.
+    Packing is injective, so the packed entries are compared directly.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    m12: dict[str, LaurentPoly] = {"a": MU_A.m12, "b": MU_B.m12}
-    for u, v, mat in christoffel_fold(max_len, MU_A, MU_B, operator.mul):
-        m12[u + v] = mat.m12
-
-    polys = list(m12.values())
-    distinct_polys = len(set(polys)) == len(polys)
-    zeta6 = {eval_cyclotomic(p, 6) for p in polys}
+    shift = max_entry_at_one("mu", max_len).bit_length() + 1
+    a, b = (packed_letters("mu", shift)[ch] for ch in "ab")
+    packed = {"a": a.m12, "b": b.m12}
+    for u, v, mat in christoffel_fold(max_len, a, b, operator.mul):
+        packed[u + v] = mat.m12
+    m12 = {w: unpack_poly(x, shift) for w, x in packed.items()}
+    distinct_polys = len(set(packed.values())) == len(packed)
+    zeta6 = {eval_cyclotomic(p, 6) for p in m12.values()}
     counts = {letter_counts(w) for w in m12}
     return InjectivityReport(max_len, len(m12), distinct_polys,
-                             len(zeta6) == len(polys), len(counts) == len(polys),
+                             len(zeta6) == len(m12), len(counts) == len(m12),
                              m12_by_word=m12)

@@ -166,6 +166,13 @@ def test_figure2_csv(capsys):
     assert len(origin_rows) == 1 and origin_rows[0][0] == "0"
 
 
+def test_figure2_output_is_independent_of_jobs(capsys):
+    outs = [run_cli(capsys, "figure2-data", "--max-len", "10", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["collide"])  # missing required --max-len

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff.cyclotomic import (ClosureResult, CycInt, closed_form_mu_zeta6,
-                                 cone_of, entry12_zeta6, eval_cyclotomic,
+from qmarkoff.cyclotomic import (ClosureResult, CycInt, _residue_walk,
+                                 closed_form_mu_zeta6, cone_of, entry12_zeta6, eval_cyclotomic,
                                  evaluate_matrix, figure2_rows, monoid_closure,
                                  recover_counts, residue_relation_check)
 from qmarkoff.laurent import LaurentPoly
-from qmarkoff.qmatrix import MU_A, MU_B, mu_q
+from qmarkoff.qmatrix import (LETTERS, MU_A, MU_B, Mat2, max_entry_at_one, mu_q,
+                              walk_words)
 from qmarkoff.words import iter_words
 
 small_polys = st.builds(
@@ -230,6 +231,24 @@ def test_order_five_value_cloud():
     assert report.classes_disjoint
     data = report.to_json_dict()
     assert data["distinct_values"] == 31
+
+
+@pytest.fixture(scope="module")
+def laurent_entries_to_12():
+    """The mu 12-entry of every word of length <= 12 from a plain LaurentPoly
+    walk, which does no packing."""
+    return {w: m.m12 for w, m in walk_words(LETTERS["mu"], Mat2.identity(), 12)}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_packed_residue_walk_matches_laurent_route(laurent_entries_to_12, k):
+    # the exact q = 1 value, not only its residue mod k: a limb that carried
+    # would change it even where the residue and the zeta_k value survive
+    shift = max_entry_at_one("mu", 12).bit_length() + 1
+    folded = {w: (at_one, coords) for w, at_one, coords in _residue_walk(k, shift, "", 12)}
+    assert len(folded) == len(laurent_entries_to_12) == 2 ** 13 - 1
+    for w, p in laurent_entries_to_12.items():
+        assert folded[w] == (p.eval_at_one(), eval_cyclotomic(p, k).coords), w
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -11,8 +11,8 @@ from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
-                              fan_out, mu_q, mu_q_via_sigma, pack_poly,
-                              prefix_products, unpack_poly, walk_words)
+                              fan_out, max_entry_at_one, mu_q, mu_q_via_sigma,
+                              pack_poly, prefix_products, unpack_poly, walk_words)
 from qmarkoff.words import bar, iter_words
 
 from oracle import letter_product_at, matrix_at
@@ -259,6 +259,18 @@ def test_packed_maps_match_laurent_and_sympy_products(sympy_route, w):
         assert [dict(p.terms()) for p in packed.entries()] == entries
     if "b" not in w:
         assert M_q(w).m12.is_zero()
+
+
+@pytest.mark.parametrize("kind", ["M", "mu"])
+def test_max_entry_at_one_bounds_every_word(kind):
+    bounds = [max_entry_at_one(kind, n) for n in range(13)]
+    at_one = {ch: g.map(LaurentPoly.eval_at_one) for ch, g in LETTERS[kind].items()}
+    for w, m in walk_words(at_one, Mat2.identity(1, 0), 12):
+        assert max(m.entries()) <= bounds[len(w)], w
+    if kind == "mu":
+        # exact for mu: the bound is attained by b^n
+        assert bounds == [max(max(row) for row in mu_q("b" * n).at_one())
+                          for n in range(13)]
 
 
 def test_pack_round_trip():
