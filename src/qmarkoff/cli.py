@@ -151,8 +151,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_collide(args: argparse.Namespace) -> int:
-    report = collide(args.map, args.max_len, jobs=args.jobs,
-                     safety_bound=args.safety_bound, classify=not args.no_classify)
+    report = collide(args.map, args.max_len, safety_bound=args.safety_bound,
+                     classify=not args.no_classify)
 
     def human() -> Iterator[str]:
         summary = report.summary()

@@ -9,8 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly
-from .qmatrix import MU_A, MU_B
+from .qmatrix import LETTERS_AT_ONE
 from .words import christoffel_fold
 
 
@@ -94,7 +93,7 @@ def christoffel_entry_values(max_len: int) -> dict[str, int]:
     Matrices at q = 1 are propagated along the Christoffel tree, so each word
     costs one 2x2 integer multiplication.
     """
-    a1, b1 = MU_A.map(LaurentPoly.eval_at_one), MU_B.map(LaurentPoly.eval_at_one)
+    a1, b1 = LETTERS_AT_ONE["mu"]["a"], LETTERS_AT_ONE["mu"]["b"]
     values = {"a": a1.m12, "b": b1.m12}
     for u, v, m in christoffel_fold(max_len, a1, b1, operator.mul):
         values[u + v] = m.m12

@@ -149,8 +149,8 @@ LETTERS = {"M": {"a": L_Q, "b": R_Q}, "mu": {"a": MU_A, "b": MU_B}}
 
 
 #: The letter matrices at q = 1, over Z.
-_LETTERS_AT_ONE = {kind: {ch: g.map(LaurentPoly.eval_at_one) for ch, g in letters.items()}
-                   for kind, letters in LETTERS.items()}
+LETTERS_AT_ONE = {kind: {ch: g.map(LaurentPoly.eval_at_one) for ch, g in letters.items()}
+                  for kind, letters in LETTERS.items()}
 
 
 def pack_poly(p: LaurentPoly, shift: int) -> int:
@@ -188,7 +188,7 @@ def max_entry_at_one(map_kind: str, max_len: int) -> int:
     are nonnegative, so it bounds every q = 1 entry, and so every coefficient,
     of every word of length <= max_len.  It is exact for mu, where U_n is the
     q = 1 matrix of b^n, since mu(a) <= mu(b) entrywise at q = 1."""
-    letters = _LETTERS_AT_ONE[map_kind].values()
+    letters = LETTERS_AT_ONE[map_kind].values()
     u, bound = Mat2.identity(1, 0), 1
     for _ in range(max_len):
         u = Mat2(*map(max, *((u * g).entries() for g in letters)))
@@ -199,7 +199,7 @@ def max_entry_at_one(map_kind: str, max_len: int) -> int:
 def _word_product(map_kind: str, w: str) -> Mat2:
     require_word(w, BINARY)
     int_one = Mat2.identity(1, 0)
-    at_one = reduce(operator.mul, (_LETTERS_AT_ONE[map_kind][ch] for ch in w), int_one)
+    at_one = reduce(operator.mul, (LETTERS_AT_ONE[map_kind][ch] for ch in w), int_one)
     # no coefficient of an entry exceeds the entry's value at q = 1
     shift = max(max(at_one.entries()).bit_length(), 1)
     letters = packed_letters(map_kind, shift)

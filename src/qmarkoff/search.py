@@ -13,6 +13,11 @@ and re-verified afterwards on an independent route: every colliding word's
 12-entry is recomputed on ``LaurentPoly`` matrices, walking the sorted words
 with a prefix stack (one Laurent matrix product per distinct prefix) and
 carrying only the first row of each product, which holds the 12-entry.
+
+The scan runs in the calling process, whatever ``--jobs`` says: it costs one
+integer product per word, and worker processes would have to pickle every
+word's bucket back to the parent, whose unpickling and merging measured
+slower than the serial scan at every length the default safety bound allows.
 """
 
 from __future__ import annotations
@@ -20,14 +25,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Optional
 
 from .cyclotomic import eval_cyclotomic
 from .identities import partner, phi, psi
 from .laurent import ONE, ZERO, LaurentPoly
-from .qmatrix import (LETTERS, M_q, Mat2, fan_out, max_entry_at_one, mu_q,
-                      packed_letters, prefix_products, unpack_poly, walk_words)
+from .qmatrix import (LETTERS, M_q, Mat2, max_entry_at_one, mu_q, packed_letters,
+                      prefix_products, unpack_poly, walk_words)
 from .words import (BINARY, apply_morphism, bar, christoffel_fold,
                     letter_counts, mirror, require_word)
 
@@ -101,10 +105,11 @@ class CollisionReport:
 
 #: Peak resident bytes per searched word of ``qmarkoff collide``, classify and
 #: JSON output included: the rise in peak RSS from --max-len 13 to 14 over the
-#: 16,384 added words (Python 3.11, x86-64; M 116.9 -> 219.7 MiB, mu 42.7 ->
-#: 68.8 MiB; from 12 to 13 the slopes were 6,450 and 1,590 bytes), rounded up.
-#: M costs more because its groups, and so its pairs, are far larger.
-_BYTES_PER_WORD = {"M": 6600, "mu": 1700}
+#: 16,384 added words (Python 3.11, x86-64; M 69.0 -> 121.3 MiB, mu 36.7 ->
+#: 55.7 MiB, about 3,350 and 1,220 bytes; from 12 to 13 the slopes were 3,250
+#: and 1,190 bytes), rounded up.  M costs more because its groups, and so its
+#: pairs, are far larger.
+_BYTES_PER_WORD = {"M": 3400, "mu": 1300}
 
 
 class SearchBoundError(RuntimeError):
@@ -114,24 +119,19 @@ class SearchBoundError(RuntimeError):
     M, is the larger one."""
 
     def __init__(self, max_len: int, bound: int, map_kind: str = "M") -> None:
-        words = 2 ** (max_len + 1) - 1
-        est_mb = words * _BYTES_PER_WORD[map_kind] // (1 << 20)
+        per_word = _BYTES_PER_WORD[map_kind]
+        if max_len <= 64:
+            words = 2 ** (max_len + 1) - 1
+            size = f"{words} words, roughly {words * per_word // (1 << 20)} MiB"
+        else:
+            # in powers of two: the exact figures cost time and memory growing
+            # with max_len, and str() refuses them from max_len ~14,282 on
+            size = f"2^{max_len + 1} - 1 words, roughly {per_word} x 2^{max_len - 19} MiB"
         super().__init__(
             f"max_len {max_len} exceeds the safety bound {bound}: "
-            f"{words} words, roughly {est_mb} MiB; raise the bound explicitly to proceed")
+            f"{size}; raise the bound explicitly to proceed")
         self.max_len = max_len
         self.bound = bound
-
-
-def _scan_words(map_kind: str, shift: int, prefix: str,
-                max_len: int) -> dict[int, list[str]]:
-    """Packed 12-entry -> words, for all words extending ``prefix`` with
-    length in [len(prefix), max_len]."""
-    buckets: dict[int, list[str]] = {}
-    for w, m in walk_words(packed_letters(map_kind, shift), Mat2.identity(1, 0),
-                           max_len, prefix):
-        buckets.setdefault(m.m12, []).append(w)
-    return buckets
 
 
 def _word_map(map_kind: str):
@@ -277,18 +277,19 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
             raise AssertionError(f"packed bucket mismatch for word {w!r}")
 
 
-def collide(map_kind: str, max_len: int, *, jobs: int = 1,
-            safety_bound: int = 16, classify: bool = True) -> CollisionReport:
+def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
+            classify: bool = True) -> CollisionReport:
     """All maximal groups of words of length <= max_len sharing their 12-entry.
 
-    The scan buckets every word by its packed 12-entry (one integer matrix
-    product per word, limbs sized by ``max_entry_at_one``).  Every word of
-    a group of two or more is then checked on ``LaurentPoly`` matrices, one
-    first-row product per distinct prefix of the sorted colliding words; a
-    word whose entry differs from its group's raises AssertionError naming it.
+    The scan is one in-process walk that buckets every word by its packed
+    12-entry (one integer matrix product per word, limbs sized by
+    ``max_entry_at_one``).  Every word of a group of two or more is then
+    checked on ``LaurentPoly`` matrices, one first-row product per distinct
+    prefix of the sorted colliding words; a word whose entry differs from its
+    group's raises AssertionError naming it.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
-    groups by their first word, independent of the worker count.
+    groups by their first word.
     """
     if map_kind not in LETTERS:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
@@ -297,10 +298,9 @@ def collide(map_kind: str, max_len: int, *, jobs: int = 1,
     if max_len > safety_bound:
         raise SearchBoundError(max_len, safety_bound, map_kind)
     shift = max_entry_at_one(map_kind, max_len).bit_length() + 1
-    buckets, *parts = fan_out(partial(_scan_words, map_kind, shift), max_len, jobs)
-    for part in parts:
-        for key, ws in part.items():
-            buckets.setdefault(key, []).extend(ws)
+    buckets: dict[int, list[str]] = {}
+    for w, m in walk_words(packed_letters(map_kind, shift), Mat2.identity(1, 0), max_len):
+        buckets.setdefault(m.m12, []).append(w)
     words_searched = sum(len(ws) for ws in buckets.values())
 
     groups = []

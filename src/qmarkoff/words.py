@@ -93,7 +93,7 @@ def christoffel_words(max_len: int) -> list[str]:
 
     The single letters a and b are included.
     """
-    words = ["a", "b"] if max_len >= 1 else []
+    words = ["a", "b"]
     words.extend(u + v for u, v in christoffel_tree(max_len))
     words.sort(key=lambda w: (len(w), w))
     return words

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qmarkoff import search
 from qmarkoff.cli import _json_text, main
 from qmarkoff.cyclotomic import residue_relation_check
 from qmarkoff.laurent import LaurentPoly
@@ -101,6 +102,20 @@ def test_collide_resource_bound_exit(capsys):
                            "--safety-bound", "8")
     assert code == 4
     assert "safety bound" in err
+
+
+@pytest.mark.parametrize("max_len", ["20000", "1000000000"])
+def test_collide_refuses_huge_lengths_before_any_work(capsys, monkeypatch, max_len):
+    def no_walk(*args):
+        raise AssertionError("the guard must refuse before any walk")
+
+    monkeypatch.setattr(search, "walk_words", no_walk)
+    monkeypatch.setattr(search, "max_entry_at_one", no_walk)
+    code, out, err = run_cli(capsys, "collide", "--map", "mu", "--max-len", max_len)
+    assert code == 4
+    assert out == ""
+    assert f"error: max_len {max_len} exceeds the safety bound 16: 2^" in err
+    assert "Traceback" not in err
 
 
 def test_collide_deterministic_output(capsys):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import operator
 import os
 from functools import reduce
@@ -195,29 +194,11 @@ FAN_OUT_CASES = [
 
 @pytest.mark.parametrize("jobs, cpus, max_len, workers, prefixes", FAN_OUT_CASES,
                          ids=["-".join(map(str, case[:4])) for case in FAN_OUT_CASES])
-def test_fan_out_clamps_worker_count(monkeypatch, jobs, cpus, max_len, workers, prefixes):
-    started = []  # (max_workers, number of prefixes mapped) per pool
-
-    class SerialPool:
-        """In-process stand-in for the process pool; records its size and load."""
-
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, *iterables):
-            started.append((self.max_workers, len(items)))
-            return map(fn, items, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+def test_fan_out_clamps_worker_count(monkeypatch, serial_pool, jobs, cpus, max_len,
+                                     workers, prefixes):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     parts = fan_out(_list_words, max_len, jobs)
-    assert started == ([(workers, prefixes)] if prefixes else [])
+    assert serial_pool == ([[workers, prefixes]] if prefixes else [])
     words = [w for part in parts for w in part]
     assert sorted(words) == sorted(iter_words("ab", max_len))
 

@@ -1,9 +1,11 @@
+import os
 import random
 import re
 
 import pytest
 
 from qmarkoff import search
+from qmarkoff.cli import main
 from qmarkoff.identities import FAMILIES
 from qmarkoff.markoff import markoff_numbers_up_to
 from qmarkoff.qmatrix import M_q, mu_q
@@ -128,11 +130,23 @@ def test_chain_classification_at_length_twelve():
     assert counts["unexplained"] == 0
 
 
+def _collide_cli(capsys, *argv):
+    code = main(["collide", *argv])
+    return code, capsys.readouterr().out
+
+
 @pytest.mark.parametrize("map_kind", ["M", "mu"])
-def test_parallel_search_matches_serial(map_kind):
-    solo = collide(map_kind, 8, jobs=1)
-    multi = collide(map_kind, 8, jobs=2)
-    assert solo.to_json_dict() == multi.to_json_dict()
+def test_parallel_search_matches_serial(capsys, map_kind):
+    solo = _collide_cli(capsys, "--map", map_kind, "--max-len", "8", "--jobs", "1")
+    multi = _collide_cli(capsys, "--map", map_kind, "--max-len", "8", "--jobs", "2")
+    assert solo == multi
+
+
+def test_collide_starts_no_worker_process(capsys, monkeypatch, serial_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    multi = _collide_cli(capsys, "--map", "M", "--max-len", "8", "--jobs", "4")
+    assert serial_pool == []
+    assert multi == _collide_cli(capsys, "--map", "M", "--max-len", "8", "--jobs", "1")
 
 
 def test_safety_bound_refusal():
@@ -140,8 +154,8 @@ def test_safety_bound_refusal():
         collide("mu", 6, safety_bound=5)
     assert "safety bound" in str(err.value)
     # the estimate uses the measured per-word figure of each map
-    assert "roughly 53 MiB" in str(SearchBoundError(14, 13, "mu"))
-    assert "roughly 206 MiB" in str(SearchBoundError(14, 13, "M"))
+    assert "roughly 40 MiB" in str(SearchBoundError(14, 13, "mu"))
+    assert "roughly 106 MiB" in str(SearchBoundError(14, 13, "M"))
     # raising the bound permits the same search
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
 
