@@ -5,8 +5,12 @@ invocations, all big integers are emitted as decimal strings, and CSV comes
 with a header row.  Exit codes: 0 success, 1 verify-identities found a
 failing case, 2 usage or validation error (including a --jobs or
 QMARKOFF_JOBS value that is not an integer >= 1), 3 unexplained collision
-pairs found (evidence signal), 4 resource bound hit, 141 stdout was closed
-before the output was written (e.g. piped into head).
+pairs found (evidence signal), 4 resource bound hit (``collide`` past its
+``--safety-bound``; ``residues`` or ``figure2-data`` past ``--max-len``
+14283, the longest length whose word count 2^(max_len+1) - 1 Python can
+print), 141 stdout was closed before the output was written (e.g. piped into
+head).  ``--jobs`` is accepted by every command and changes no output: every
+command runs in one process.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .cyclotomic import (cone_of, eval_cyclotomic, figure2_rows,
+from .cyclotomic import (ResidueBoundError, cone_of, eval_cyclotomic, figure2_rows,
                          monoid_closure, recover_counts, residue_relation_check)
 from .identities import FAMILIES, alternating_words, delta, verify_family
 from .markoff import markoff_numbers, markoff_numbers_up_to
@@ -229,7 +233,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_residues(args: argparse.Namespace) -> int:
-    report = residue_relation_check(args.k, args.max_len, jobs=args.jobs)
+    report = residue_relation_check(args.k, args.max_len)
     if args.k == 5:
         header, rows = ["residue", "distinct_values"], sorted(report.partition_sizes.items())
     else:
@@ -256,7 +260,7 @@ def _cmd_markoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    rows = figure2_rows(args.max_len, args.jobs)
+    rows = figure2_rows(args.max_len)
     _emit(args.format,
           lambda: [{"residue_class": r, "coords": list(coords),
                     "re_approx": f"{re:.15g}", "im_approx": f"{im:.15g}"}
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=format_default)
         p.add_argument("--jobs", type=_positive_int,
                        default=os.environ.get("QMARKOFF_JOBS", "1"),
-                       help="worker processes (default from QMARKOFF_JOBS, else 1)")
+                       help="changes no output (default from QMARKOFF_JOBS, else 1)")
         p.set_defaults(func=func)
         return p
 
@@ -354,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SearchBoundError as exc:
+    except (SearchBoundError, ResidueBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, TypeError) as exc:

@@ -5,22 +5,26 @@ recovery, finite monoid closures and residue-class correspondences.
 All geometry is done by exact integer linear algebra in the basis
 {1, zeta_6}; no floating point is ever consulted for a classification.
 
-The residue check folds each word's packed mu 12-entry p modulo
-2^(k*shift) - 1, the cyclic wraparound of Schönhage-Strassen multiplication,
-into p modulo q^k - 1 (``_residue_walk``): p(1) and p(zeta_k) with no CycInt
-product.  It is exact because p has coefficients in N and ``shift`` comes
-from ``qmatrix.max_entry_at_one`` with a spare bit, so no limb carries.
+The residue check walks states, not words: a word's state is its mu matrix
+at zeta_k paired with its q = 1 mu matrix mod k, and the mu letters generate
+a finite monoid at zeta_k (6, 24, 48 and 600 elements for k = 2..5).  One
+breadth-first walk (``_walk_states``) finds these states for the residue
+check and the elements for ``monoid_closure``; the words behind a violating
+state are listed by a walk that visits only prefixes leading to one
+(``_words_reaching``).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .laurent import LaurentPoly, format_terms
-from .qmatrix import MU_A, MU_B, Mat2, fan_out, max_entry_at_one, packed_letters, walk_words
+from .qmatrix import LETTERS, LETTERS_AT_ONE, MU_A, MU_B, Mat2
 
 _DEGREE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 # x**deg reduced: constant-first coefficient rows of the minimal polynomials
@@ -292,13 +296,41 @@ class ClosureResult:
                 "finite": self.finite, "size": self.size}
 
 
+def _walk_states(start, letters, mul: Callable, max_len: int, cap: float = math.inf):
+    """Breadth-first walk over the states of the words of length <= max_len:
+    the empty word's state is ``start`` and w + c has ``mul(state(w), c)``
+    for each c of ``letters``.
+
+    States are compared exactly and numbered in the order found, so each
+    length's new states follow the last length's.  ``step[i]`` holds the
+    numbers of state i times each letter, for every state that a word
+    shorter than max_len reaches; every state is multiplied out once per
+    letter, however many words share it.  Returns (states, step), or None
+    as soon as more than ``cap`` states appear.
+    """
+    index, step, level = {start: 0}, [], [start]
+    for _ in range(max_len):
+        found = len(index)
+        for s in level:
+            step.append(tuple(index.setdefault(mul(s, g), len(index)) for g in letters))
+            if len(index) > cap:
+                return None
+        level = list(index)[found:]
+        if not level:
+            break
+    return list(index), step
+
+
 def monoid_closure(k: int, scaled: bool, cap: int = 10_000) -> ClosureResult:
     """Breadth-first closure of the two evaluated generators under multiplication.
 
     With ``scaled`` the generators are premultiplied by zeta^-1 and zeta^-2
     respectively.  Matrices are compared exactly; the computation stops with
     an exceeded-cap result as soon as more than ``cap`` distinct elements
-    appear (expected for k = 6, where the closure is infinite).
+    appear (expected for k = 6, where the closure is infinite).  The walk
+    starts at the identity, which every finite closure contains: the
+    generators are invertible, and a finite monoid of invertible elements is
+    a group.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -307,21 +339,19 @@ def monoid_closure(k: int, scaled: bool, cap: int = 10_000) -> ClosureResult:
     if scaled:
         gen_a = gen_a.scale(CycInt.zeta_pow(k, -1))
         gen_b = gen_b.scale(CycInt.zeta_pow(k, -2))
-    gens = (gen_a, gen_b)
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in gens:
-                p = m * g
-                if p not in seen:
-                    seen.add(p)
-                    if len(seen) > cap:
-                        return ClosureResult(k, scaled, cap, None)
-                    fresh.append(p)
-        frontier = fresh
-    return ClosureResult(k, scaled, cap, len(seen))
+    # no closure of at most cap elements is more than cap letters deep
+    walk = _walk_states(Mat2.identity(CycInt.one(k), CycInt.zero(k)),
+                        (gen_a, gen_b), operator.mul, cap, cap)
+    return ClosureResult(k, scaled, cap, None if walk is None else len(walk[0]))
+
+
+#: The longest max_len of ``residue_relation_check``: its word count
+#: 2^(max_len + 1) - 1 has 4,300 digits there, the most Python converts to str.
+MAX_RESIDUE_LEN = 14_283
+
+
+class ResidueBoundError(RuntimeError):
+    """Raised, before any work, for a residue check past ``MAX_RESIDUE_LEN``."""
 
 
 # Residue-class correspondence tables: value coordinates -> allowed residues
@@ -366,83 +396,98 @@ class ResidueReport:
         return data
 
 
-def _residue_walk(k: int, shift: int, prefix: str,
-                  max_len: int) -> Iterator[tuple[str, int, tuple[int, ...]]]:
-    """Yield (w, p(1), coordinates of p(zeta_k)) for the mu 12-entry p of
-    every word w extending ``prefix`` up to max_len, from one packed walk.
+def _residue_states(k: int, max_len: int) -> tuple[list, list]:
+    """``_walk_states`` of the words of length <= max_len, where a word's
+    state pairs its mu matrix at zeta_k (over ``CycInt``) with its q = 1 mu
+    matrix reduced mod k (over int).
 
-    The walk gives x = p(2^shift).  Modulo N = 2^(k*shift) - 1, where
-    2^(k*shift) = 1, the k limbs of ``shift`` bits of x are the sums of p's
-    coefficients over the exponent classes mod k, that is p modulo q^k - 1:
-    they sum to p(1), and ``_reduce`` by the minimal polynomial evaluates
-    them at zeta_k.  Exact because p has coefficients in N, so each class
-    sum is at most p(1), and the caller sizes ``shift`` from
-    ``qmatrix.max_entry_at_one`` with a spare bit: no limb carries, and
-    x mod N is never N.
+    Both are ring maps of the word product, so the state of w + c is the
+    state of w times that of c, and the states are finitely many for
+    k = 2..5: the walk costs two matrix products per state and letter at
+    any max_len.
     """
-    modulus, mask = (1 << (k * shift)) - 1, (1 << shift) - 1
-    offsets = range(0, k * shift, shift)
-    for w, m in walk_words(packed_letters("mu", shift), Mat2.identity(1, 0), max_len, prefix):
-        x = m.m12 % modulus
-        limbs = [(x >> o) & mask for o in offsets]
-        yield w, sum(limbs), _reduce(limbs, k)
+    mod_k = k.__rmod__  # x -> x % k
+    letters = [(evaluate_matrix(g, k), LETTERS_AT_ONE["mu"][ch].map(mod_k))
+               for ch, g in LETTERS["mu"].items()]
+    start = (Mat2.identity(CycInt.one(k), CycInt.zero(k)), Mat2.identity(1, 0))
+    return _walk_states(start, letters,
+                        lambda s, g: (s[0] * g[0], (s[1] * g[1]).map(mod_k)), max_len)
 
 
-def _scan_residues(k: int, shift: int, prefix: str, max_len: int) -> tuple[int, list[str], dict]:
-    """Over ``_residue_walk``: the word count, the words breaking the residue
-    correspondence (k = 2..4) and residue -> zeta_k coordinates (k = 5)."""
-    table = _RESIDUE_CLASSES.get(k)
-    checked, violations, partition = 0, [], {}
-    for w, at_one, coords in _residue_walk(k, shift, prefix, max_len):
-        checked += 1
-        if table is None:
-            partition.setdefault(at_one % k, set()).add(coords)
-        elif at_one % k not in table.get(coords, ()):
-            violations.append(w)
-    return checked, violations, partition
+def _words_reaching(targets: set, step: list, max_len: int) -> list[str]:
+    """Every word of length <= max_len whose state index is in ``targets``,
+    sorted by (length, word).
+
+    ``within[r]`` holds the states from which a target is at most r letters
+    away (backward reachability over ``step``); the depth-first walk enters
+    a state only if a target lies within the letters left, so every branch
+    it takes ends in at least one listed word.
+    """
+    within = [targets]
+    while len(within) <= max_len:
+        grown = within[-1] | {i for i, js in enumerate(step) if within[-1].intersection(js)}
+        if grown == within[-1]:
+            break
+        within.append(grown)
+    words, stack = [], [("", 0)]
+    while stack:
+        w, i = stack.pop()
+        if i in targets:
+            words.append(w)
+        left = max_len - len(w) - 1  # letters left after the next one
+        if left >= 0:
+            near = within[min(left, len(within) - 1)]
+            stack.extend((w + ch, j) for ch, j in zip("ab", step[i]) if j in near)
+    return sorted(words, key=lambda w: (len(w), w))
 
 
-def residue_relation_check(k: int, max_len: int, jobs: int = 1) -> ResidueReport:
+def residue_relation_check(k: int, max_len: int) -> ResidueReport:
     """Check the residue correspondences for k in 2..4, or collect the value
     partition for k = 5, over every word of length <= max_len (empty word
-    included)."""
+    included), from the states of ``_residue_states``.
+
+    Raises ``ResidueBoundError`` before any work when max_len exceeds
+    ``MAX_RESIDUE_LEN``.
+    """
     if k not in (2, 3, 4, 5):
         raise ValueError(f"k must be in 2..5, got {k}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    shift = max_entry_at_one("mu", max_len).bit_length() + 1
-    (checked, violations, partition), *parts = fan_out(
-        partial(_scan_residues, k, shift), max_len, jobs)
-    for c, v, p in parts:
-        checked += c
-        violations.extend(v)
-        for r, vals in p.items():
-            partition.setdefault(r, set()).update(vals)
-    violations.sort(key=lambda w: (len(w), w))
-    if k != 5:
+    if max_len > MAX_RESIDUE_LEN:
+        raise ResidueBoundError(f"max_len {max_len} exceeds {MAX_RESIDUE_LEN}, the longest "
+                                "length whose word count 2^(max_len+1) - 1 can be printed")
+    states, step = _residue_states(k, max_len)
+    checked = (1 << (max_len + 1)) - 1
+    table = _RESIDUE_CLASSES.get(k)
+    if table is not None:
+        bad = {i for i, (z, r) in enumerate(states)
+               if r.m12 not in table.get(z.m12.coords, ())}
+        violations = _words_reaching(bad, step, max_len)
         return ResidueReport(k, max_len, checked, tuple(violations))
+    partition: dict[int, set] = {}
+    for z, r in states:
+        partition.setdefault(r.m12, set()).add(z.m12.coords)
     sizes = {r: len(vals) for r, vals in partition.items()}
-    all_values = set().union(*partition.values()) if partition else set()
+    all_values = set().union(*partition.values())
     disjoint = sum(sizes.values()) == len(all_values)
     ordered = {r: tuple(CycInt(k, c) for c in sorted(vals))
                for r, vals in sorted(partition.items())}
-    return ResidueReport(k, max_len, checked, tuple(violations),
+    return ResidueReport(k, max_len, checked, (),
                          distinct_values=len(all_values), partition_sizes=sizes,
                          classes_disjoint=disjoint, partition=ordered)
 
 
-def figure2_rows(max_len: int = 10,
-                 jobs: int = 1) -> list[tuple[int, tuple[int, ...], float, float]]:
+def figure2_rows(max_len: int = 10) -> list[tuple[int, tuple[int, ...], float, float]]:
     """Point cloud of the zeta_5 values labelled by the q=1 residue class.
 
     Each row is (residue_class, exact coordinates, approximate real part,
-    approximate imaginary part); the float columns are for plotting only.
+    approximate imaginary part), in the order of ``ResidueReport.partition``:
+    by residue, then by coordinates.  The float columns are for plotting only.
     """
-    report = residue_relation_check(5, max_len, jobs)
+    report = residue_relation_check(5, max_len)
     rows = []
     for r, values in report.partition.items():
         for v in values:
             z = v.approx()
             rows.append((r, v.coords, z.real, z.imag))
-    rows.sort(key=lambda row: (row[0], row[1]))
     return rows

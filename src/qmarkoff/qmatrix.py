@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 import os
 from functools import lru_cache, partial, reduce
-from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -217,16 +216,15 @@ def mu_q(w: str) -> Mat2:
     return _word_product("mu", w)
 
 
-def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
-               prefix: str = "") -> Iterator[tuple[str, Mat2]]:
+def walk_words(letters: Mapping[str, Mat2], identity: Mat2,
+               max_len: int) -> Iterator[tuple[str, Mat2]]:
     """Yield (word, product of its letter matrices) depth-first for every word
-    that extends ``prefix`` and has length <= max_len.
+    of length <= max_len.
 
     ``letters`` maps each letter to its matrix over the ring of ``identity``;
     every yielded word costs one matrix multiplication.
     """
-    start = reduce(operator.mul, (letters[ch] for ch in prefix), identity)
-    stack = [(prefix, start)]
+    stack = [("", identity)]
     while stack:
         w, m = stack.pop()
         yield w, m
@@ -254,27 +252,6 @@ def prefix_products(letters: Mapping[str, Mat2], start: Mat2,
             stack.append(stack[-1] * letters[ch])
         previous = w
         yield w, stack[-1]
-
-
-def fan_out(scan: Callable[[str, int], object], max_len: int, jobs: int) -> list:
-    """Results of ``scan(prefix, stop_len)`` calls that together cover every
-    binary word of length <= max_len exactly once.
-
-    With workers = min(jobs, CPU count) <= 1, or max_len < 4: one in-process
-    scan("", max_len).  Otherwise: an in-process scan of the words shorter than
-    depth = bit_length(workers - 1), then one scan per prefix of that depth, in
-    prefix order, on min(workers, prefix count) processes.  ``scan`` must pickle.
-    """
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or max_len < 4:
-        return [scan("", max_len)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    depth = min((workers - 1).bit_length(), max_len)
-    prefixes = ["".join(p) for p in product(BINARY, repeat=depth)]
-    head = scan("", depth - 1)
-    with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
-        return [head, *pool.map(scan, prefixes, [max_len] * len(prefixes))]
 
 
 def mu_q_via_sigma(w: str) -> Mat2:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qmarkoff import search
+from qmarkoff import cyclotomic, search
 from qmarkoff.cli import _json_text, main
 from qmarkoff.cyclotomic import residue_relation_check
 from qmarkoff.laurent import LaurentPoly
@@ -116,6 +116,28 @@ def test_collide_refuses_huge_lengths_before_any_work(capsys, monkeypatch, max_l
     assert out == ""
     assert f"error: max_len {max_len} exceeds the safety bound 16: 2^" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["residues --k 5", "figure2-data"])
+@pytest.mark.parametrize("max_len", ["14284", "20000", "1000000000"])
+def test_residues_refuse_huge_lengths_before_any_work(capsys, monkeypatch, command,
+                                                      max_len):
+    def no_walk(*args):
+        raise AssertionError("the guard must refuse before any walk")
+
+    monkeypatch.setattr(cyclotomic, "_residue_states", no_walk)
+    code, out, err = run_cli(capsys, *command.split(), "--max-len", max_len)
+    assert code == 4
+    assert out == ""
+    assert err == (f"error: max_len {max_len} exceeds 14283, the longest length "
+                   f"whose word count 2^(max_len+1) - 1 can be printed\n")
+
+
+def test_residues_print_the_word_count_at_the_length_bound(capsys):
+    code, out, _ = run_cli(capsys, "residues", "--k", "2", "--max-len", "14283",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == f"2,14283,{2 ** 14284 - 1},0"
 
 
 def test_collide_deterministic_output(capsys):

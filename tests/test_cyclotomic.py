@@ -1,16 +1,19 @@
 import cmath
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff.cyclotomic import (ClosureResult, CycInt, _residue_walk,
+from qmarkoff import cyclotomic
+from qmarkoff.cli import main
+from qmarkoff.cyclotomic import (ClosureResult, CycInt, ResidueReport, _residue_states,
                                  closed_form_mu_zeta6, cone_of, entry12_zeta6, eval_cyclotomic,
                                  evaluate_matrix, figure2_rows, monoid_closure,
                                  recover_counts, residue_relation_check)
 from qmarkoff.laurent import LaurentPoly
-from qmarkoff.qmatrix import (LETTERS, MU_A, MU_B, Mat2, max_entry_at_one, mu_q,
-                              walk_words)
+from qmarkoff.qmatrix import LETTERS, MU_A, MU_B, Mat2, mu_q, walk_words
 from qmarkoff.words import iter_words
 
 small_polys = st.builds(
@@ -184,6 +187,9 @@ def test_scaled_closure_orders():
 def test_unscaled_closures_finite():
     sizes = {k: monoid_closure(k, scaled=False).size for k in (2, 3, 4, 5)}
     assert sizes == {2: 6, 3: 24, 4: 48, 5: 600}
+    # the cap admits a closure of exactly cap elements and refuses one more
+    assert monoid_closure(5, scaled=False, cap=600).size == 600
+    assert monoid_closure(5, scaled=False, cap=599).exceeded_cap
 
 
 def test_closure_cap_exceeded_for_order_six():
@@ -233,31 +239,106 @@ def test_order_five_value_cloud():
     assert data["distinct_values"] == 31
 
 
+def _brute_force_report(entries, k, max_len):
+    """The residue report of the words of length <= max_len, built word by
+    word from (word, p(1) mod k, coordinates of p(zeta_k)) triples."""
+    words = [(w, r, c) for w, r, c in entries if len(w) <= max_len]
+    table = cyclotomic._RESIDUE_CLASSES.get(k)
+    if table is not None:
+        violations = sorted((w for w, r, c in words if r not in table.get(c, ())),
+                            key=lambda w: (len(w), w))
+        return ResidueReport(k, max_len, len(words), tuple(violations))
+    partition = {}
+    for _, r, c in words:
+        partition.setdefault(r, set()).add(c)
+    values = {c for _, _, c in words}
+    return ResidueReport(k, max_len, len(words), (), distinct_values=len(values),
+                         partition_sizes={r: len(cs) for r, cs in partition.items()},
+                         classes_disjoint=sum(map(len, partition.values())) == len(values),
+                         partition={r: tuple(CycInt(k, c) for c in sorted(cs))
+                                    for r, cs in sorted(partition.items())})
+
+
 @pytest.fixture(scope="module")
-def laurent_entries_to_12():
-    """The mu 12-entry of every word of length <= 12 from a plain LaurentPoly
-    walk, which does no packing."""
-    return {w: m.m12 for w, m in walk_words(LETTERS["mu"], Mat2.identity(), 12)}
+def laurent_residues_to_12():
+    """k -> (word, p(1) mod k, coordinates of p(zeta_k)) for the mu 12-entry
+    p of every word of length <= 12, from a plain LaurentPoly walk, which
+    does no packing and no state interning."""
+    entries = [(w, m.m12) for w, m in walk_words(LETTERS["mu"], Mat2.identity(), 12)]
+    return {k: [(w, p.eval_at_one() % k, eval_cyclotomic(p, k).coords) for w, p in entries]
+            for k in (2, 3, 4, 5)}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_packed_residue_walk_matches_laurent_route(laurent_entries_to_12, k):
-    # the exact q = 1 value, not only its residue mod k: a limb that carried
-    # would change it even where the residue and the zeta_k value survive
-    shift = max_entry_at_one("mu", 12).bit_length() + 1
-    folded = {w: (at_one, coords) for w, at_one, coords in _residue_walk(k, shift, "", 12)}
-    assert len(folded) == len(laurent_entries_to_12) == 2 ** 13 - 1
-    for w, p in laurent_entries_to_12.items():
-        assert folded[w] == (p.eval_at_one(), eval_cyclotomic(p, k).coords), w
+def test_packed_residue_walk_matches_laurent_route(laurent_residues_to_12, k):
+    # every word, stepped letter by letter through the state machine, lands
+    # on the state of its own 12-entry
+    states, step = _residue_states(k, 12)
+    entries = laurent_residues_to_12[k]
+    assert len(entries) == 2 ** 13 - 1
+    for w, at_one, coords in entries:
+        i = 0
+        for ch in w:
+            i = step[i]["ab".index(ch)]
+        zeta_k, mod_k = states[i]
+        assert (mod_k.m12, zeta_k.m12.coords) == (at_one, coords), w
+    for max_len in range(13):
+        assert residue_relation_check(k, max_len) == \
+            _brute_force_report(entries, k, max_len), max_len
+
+
+def _tampered_tables():
+    """Every table of ``_RESIDUE_CLASSES`` with one allowed residue dropped."""
+    for k, table in cyclotomic._RESIDUE_CLASSES.items():
+        for coords, allowed in table.items():
+            for r in sorted(allowed):
+                yield pytest.param(k, {**table, coords: allowed - {r}},
+                                   id=f"{k}-{coords}-{r}".replace(" ", ""))
+
+
+@pytest.mark.parametrize("k, table", _tampered_tables())
+def test_residue_violations_match_brute_force(monkeypatch, laurent_residues_to_12,
+                                              k, table):
+    monkeypatch.setitem(cyclotomic._RESIDUE_CLASSES, k, table)
+    for max_len in (0, 1, 9):
+        report = residue_relation_check(k, max_len)
+        expected = _brute_force_report(laurent_residues_to_12[k], k, max_len)
+        assert report.violations == expected.violations, max_len
+    assert report.violations  # every dropped residue is hit by length 9
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_residue_check_parallel_merge_is_deterministic(k):
-    solo = residue_relation_check(k, 7, jobs=1)
-    multi = residue_relation_check(k, 7, jobs=2)
-    assert solo.words_checked == multi.words_checked
-    assert solo.partition == multi.partition
-    assert solo.violations == multi.violations
+def test_residue_states_cover_the_finite_monoid(k):
+    states, _ = _residue_states(k, 60)
+    assert len({zeta_k for zeta_k, _ in states}) == monoid_closure(k, scaled=False).size
+
+
+def test_residue_check_holds_at_length_200(capsys):
+    for k in (2, 3, 4):
+        report = residue_relation_check(k, 200)
+        assert report.ok and report.words_checked == 2 ** 201 - 1
+    assert main(["residues", "--k", "5", "--max-len", "200"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["words_checked"] == 2 ** 201 - 1
+    assert data["distinct_values"] == 31
+    assert data["partition_sizes"] == {"0": 11, "1": 5, "2": 5, "3": 5, "4": 5}
+
+
+def _residues_stdout(capsys, k, jobs):
+    code = main(["residues", "--k", str(k), "--max-len", "7", "--jobs", jobs])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_residue_check_parallel_merge_is_deterministic(capsys, k):
+    assert _residues_stdout(capsys, k, "1") == _residues_stdout(capsys, k, "2")
+
+
+def test_residues_starts_no_worker_process(capsys, monkeypatch, serial_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    multi = _residues_stdout(capsys, 5, "4")
+    assert serial_pool == []
+    assert multi == _residues_stdout(capsys, 5, "1")
 
 
 def test_figure2_rows_shape():

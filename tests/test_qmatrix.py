@@ -1,5 +1,4 @@
 import operator
-import os
 from functools import reduce
 
 import pytest
@@ -10,7 +9,7 @@ from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
-                              fan_out, max_entry_at_one, mu_q, mu_q_via_sigma,
+                              max_entry_at_one, mu_q, mu_q_via_sigma,
                               pack_poly, prefix_products, unpack_poly, walk_words)
 from qmarkoff.words import bar, iter_words
 
@@ -173,34 +172,6 @@ def test_walker_yields_every_word_once_with_its_product(kind, word_map):
         assert sorted(w for w, _ in walked) == sorted(iter_words("ab", 8))
         for w, m in walked:
             assert m == expected(w)
-    sub = list(walk_words(LETTERS[kind], Mat2.identity(), 5, prefix="ab"))
-    assert sorted(w for w, _ in sub) == sorted(
-        w for w in iter_words("ab", 5) if w.startswith("ab"))
-    assert all(m == word_map(w) for w, m in sub)
-
-
-def _list_words(prefix, stop_len):
-    return [w for w, _ in walk_words(LETTERS["M"], Mat2.identity(), stop_len, prefix)]
-
-
-FAN_OUT_CASES = [
-    # jobs, cpus, max_len, workers, prefixes mapped (0: in-process, no pool)
-    (10 ** 6, 4, 6, 4, 4),     # CPU count: 4 prefixes, not 2^6 from the raw jobs
-    (10 ** 6, None, 6, 1, 0),  # unknown CPU count
-    (3, 8, 6, 3, 4),           # requested jobs
-    (100, 1000, 5, 32, 32),    # prefix count: depth min(7, 5) gives 32 prefixes
-]
-
-
-@pytest.mark.parametrize("jobs, cpus, max_len, workers, prefixes", FAN_OUT_CASES,
-                         ids=["-".join(map(str, case[:4])) for case in FAN_OUT_CASES])
-def test_fan_out_clamps_worker_count(monkeypatch, serial_pool, jobs, cpus, max_len,
-                                     workers, prefixes):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    parts = fan_out(_list_words, max_len, jobs)
-    assert serial_pool == ([[workers, prefixes]] if prefixes else [])
-    words = [w for part in parts for w in part]
-    assert sorted(words) == sorted(iter_words("ab", max_len))
 
 
 @pytest.fixture(scope="module")
