@@ -3,14 +3,14 @@
 One binary with subcommands; JSON output is byte-deterministic for identical
 invocations, all big integers are emitted as decimal strings, and CSV comes
 with a header row.  Exit codes: 0 success, 1 verify-identities found a
-failing case, 2 usage or validation error (including a --jobs or
-QMARKOFF_JOBS value that is not an integer >= 1), 3 unexplained collision
-pairs found (evidence signal), 4 resource bound hit (``collide`` past its
-``--safety-bound``; ``residues`` or ``figure2-data`` past ``--max-len``
-14283, the longest length whose word count 2^(max_len+1) - 1 Python can
-print), 141 stdout was closed before the output was written (e.g. piped into
-head).  ``--jobs`` is accepted by every command and changes no output: every
-command runs in one process.
+failing case, 2 usage or validation error (including a --jobs value that
+is not an integer >= 1), 3 unexplained collision pairs found (evidence
+signal), 4 resource bound hit (``collide`` past its ``--safety-bound``;
+``residues`` or ``figure2-data`` past ``--max-len`` 14283, the longest
+length whose word count 2^(max_len+1) - 1 Python can print), 141 stdout was
+closed before the output was written (e.g. piped into head).  ``--jobs``
+(default 1, read from no environment variable) is accepted by every command
+and changes no output: every command runs in one process.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--jobs`` (and so of ``QMARKOFF_JOBS``): an int >= 1."""
+    """argparse type of ``--jobs``: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -296,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default=format_default)
-        p.add_argument("--jobs", type=_positive_int,
-                       default=os.environ.get("QMARKOFF_JOBS", "1"),
-                       help="changes no output (default from QMARKOFF_JOBS, else 1)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="changes no output: every command runs in one "
+                            "process (default 1)")
         p.set_defaults(func=func)
         return p
 

@@ -7,7 +7,6 @@ and hashing are structural.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Iterator
 
 
@@ -191,15 +190,6 @@ class LaurentPoly:
     def eval_at_one(self) -> int:
         """The sum of all coefficients, i.e. the value at q = 1."""
         return sum(self._coeffs)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the canonical form, for caching and bucketing."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(str(self._min).encode())
-        for c in self._coeffs:
-            h.update(b"|")
-            h.update(str(c).encode())
-        return h.hexdigest()
 
     def to_json_dict(self) -> dict:
         return {"min_degree": self._min, "coeffs": [str(c) for c in self._coeffs]}

@@ -1,6 +1,6 @@
 """2x2 matrices over a commutative ring, the two word-to-matrix
 homomorphisms, the packed exact product engine behind them, and the word
-walks shared by the searches.
+walker shared by the searches.
 
 ``M_q`` sends a to the lower-triangular generator and b to the
 upper-triangular one; ``mu_q`` sends each letter to a fixed product of those
@@ -10,22 +10,23 @@ Z[zeta_k] (at roots of unity).
 
 Packed products (Kronecker substitution).  Every letter matrix has entries
 in N[q], so every word product does too, and each coefficient of an entry is
-at most that entry's value at q = 1.  With ``shift`` bits per coefficient,
-more than any such value needs, evaluation at q = 2^shift (``pack_poly``) is
+at most that entry's value at q = 1.  Take ``shift``, the bits per
+coefficient, as the bit length of the largest such value: every coefficient
+is then below 2^shift, so evaluation at q = 2^shift (``pack_poly``) is
 injective on those entries, and, being a ring homomorphism, it turns the
 whole word product into one product of integer matrices; ``unpack_poly``
 reads the coefficients back once at the end.  Intermediate packed products
 need no bound of their own: they are exact evaluations, not digit strings.
-A walk over all words up to a length sizes its limbs by ``max_entry_at_one``.
+A walk over all words up to a length takes ``shift`` from the bit length of
+``max_entry_at_one``, a bound on every such value.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from functools import lru_cache, partial, reduce
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Optional
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
 from .words import BINARY, SIGMA, apply_morphism, require_word
@@ -130,8 +131,8 @@ class Mat2:
         return f"Mat2([[{a}, {b}], [{c}, {d}]])"
 
 
-#: Names of the Laurent and the cyclotomic matrix types, both now ``Mat2``.
-QMatrix = CycMatrix = Mat2
+#: ``Mat2`` under its earlier name, which ``perfbench/traced.py`` hooks.
+QMatrix = Mat2
 
 # Named constant matrices.
 L_Q = Mat2(Q, ZERO, Q, ONE)
@@ -216,13 +217,16 @@ def mu_q(w: str) -> Mat2:
     return _word_product("mu", w)
 
 
-def walk_words(letters: Mapping[str, Mat2], identity: Mat2,
-               max_len: int) -> Iterator[tuple[str, Mat2]]:
-    """Yield (word, product of its letter matrices) depth-first for every word
-    of length <= max_len.
+def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
+               keep: Optional[Callable[[str], bool]] = None) -> Iterator[tuple[str, Mat2]]:
+    """Yield (word, ``identity`` times the product of its letter matrices)
+    depth-first for every word of length <= max_len or, given ``keep``, for
+    every such word whose nonempty prefixes ``keep`` all accepts.
 
-    ``letters`` maps each letter to its matrix over the ring of ``identity``;
-    every yielded word costs one matrix multiplication.
+    ``letters`` maps each letter to its matrix over the ring of ``identity``
+    (which may be any start matrix); every yielded nonempty word costs one
+    matrix multiplication, and ``keep`` is asked before a word's product is
+    made, so a rejected word and everything below it cost nothing.
     """
     stack = [("", identity)]
     while stack:
@@ -230,28 +234,9 @@ def walk_words(letters: Mapping[str, Mat2], identity: Mat2,
         yield w, m
         if len(w) < max_len:
             for ch, g in letters.items():
-                stack.append((w + ch, m * g))
-
-
-def prefix_products(letters: Mapping[str, Mat2], start: Mat2,
-                    words: Iterable[str]) -> Iterator[tuple[str, Mat2]]:
-    """Yield (word, ``start`` times the product of its letter matrices) for
-    each of ``words``; ``start`` is usually the identity.
-
-    A stack holds the products of the current word's prefixes; each word
-    keeps the part it shares with the previous word and multiplies only the
-    rest.  Sorted input costs one multiplication per distinct nonempty
-    prefix, and memory stays at one matrix per letter of the longest word.
-    """
-    stack = [start]
-    previous = ""
-    for w in words:
-        keep = len(os.path.commonprefix((previous, w)))
-        del stack[keep + 1:]
-        for ch in w[keep:]:
-            stack.append(stack[-1] * letters[ch])
-        previous = w
-        yield w, stack[-1]
+                child = w + ch
+                if keep is None or keep(child):
+                    stack.append((child, m * g))
 
 
 def mu_q_via_sigma(w: str) -> Mat2:

@@ -6,13 +6,14 @@ The enumeration runs on the packed product engine of ``qmatrix``: each
 letter matrix is packed into integers (one limb of ``shift`` bits per
 coefficient, ``qmatrix.pack_poly``), so a word product is a product of
 integer matrices.  Both letter maps have entries in N[q], and the limb width
-comes from ``qmatrix.max_entry_at_one``, a bound on the q = 1 entries of all
-words up to max_len, which bounds every coefficient: packing is injective.
-Groups are keyed by the packed upper-right entry, unpacked once per group,
-and re-verified afterwards on an independent route: every colliding word's
-12-entry is recomputed on ``LaurentPoly`` matrices, walking the sorted words
-with a prefix stack (one Laurent matrix product per distinct prefix) and
-carrying only the first row of each product, which holds the 12-entry.
+is the bit length of ``qmatrix.max_entry_at_one``, a bound on the q = 1
+entries of all words up to max_len, which bounds every coefficient: packing
+is injective.  Groups are keyed by the packed upper-right entry, unpacked
+once per group, and re-verified afterwards on an independent route: every
+colliding word's 12-entry is recomputed on ``LaurentPoly`` matrices by the
+same ``walk_words``, pruned to the prefixes of the colliding words (one
+Laurent matrix product per distinct nonempty prefix) and carrying only the
+first row of each product, which holds the 12-entry.
 
 The scan runs in the calling process, whatever ``--jobs`` says: it costs one
 integer product per word, and worker processes would have to pickle every
@@ -23,6 +24,7 @@ slower than the serial scan at every length the default safety bound allows.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -31,7 +33,7 @@ from .cyclotomic import eval_cyclotomic
 from .identities import partner, phi, psi
 from .laurent import ONE, ZERO, LaurentPoly
 from .qmatrix import (LETTERS, M_q, Mat2, max_entry_at_one, mu_q, packed_letters,
-                      prefix_products, unpack_poly, walk_words)
+                      unpack_poly, walk_words)
 from .words import (BINARY, apply_morphism, bar, christoffel_fold,
                     letter_counts, mirror, require_word)
 
@@ -163,8 +165,10 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
     if px and py and px[0] == py[0]:
         (k, bx), by = px, py[1]
         id1 = _identity1_witness(map_kind, bx, by)
-        id2 = (_identity2_witness(map_kind, bx, by, w_bound)
-               or _identity2_witness(map_kind, by, bx, w_bound))
+        # one direction suffices: partner is an involution and the morphism's
+        # letter images are distinct blocks of one length, so (by, bx) has a
+        # witness exactly when (bx, by) has one
+        id2 = _identity2_witness(map_kind, bx, by, w_bound)
     if id1 and id2:
         kind = Classification.BOTH
     elif id1:
@@ -262,18 +266,27 @@ def _chain_upgrade(words: tuple[str, ...],
 def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     """Bucket soundness: recompute the 12-entry of every colliding word on
     LaurentPoly matrices, independently of the packed route, and raise
-    AssertionError naming the first word whose entry differs from its group's.
+    AssertionError naming a word whose entry differs from its group's.
 
-    The words are walked in sorted order with ``prefix_products``, so the
-    check costs one Laurent matrix product per distinct prefix.  The walk
-    starts from e1 e1^T = [[1, 0], [0, 0]] instead of the identity: each
-    product then carries only the first row of the word's matrix, whose
-    second entry is the 12-entry, and the zero second row costs no
-    convolution."""
+    ``walk_words`` is pruned to the prefixes of the colliding words, so it
+    reaches every colliding word and costs one Laurent matrix product per
+    distinct nonempty prefix; a prefix is recognised by a binary search of
+    the sorted words, with no set of prefixes built.  The walk starts from
+    e1 e1^T = [[1, 0], [0, 0]] instead of the identity: each product then
+    carries only the first row of the word's matrix, whose second entry is
+    the 12-entry, and the zero second row costs no convolution."""
     expected = {w: g.polynomial for g in groups for w in g.words}
+    words = sorted(expected)
+
+    def keep(prefix: str) -> bool:
+        # the words starting with prefix, if any, follow it in sorted order
+        i = bisect_left(words, prefix)
+        return i < len(words) and words[i].startswith(prefix)
+
     first_row = Mat2(ONE, ZERO, ZERO, ZERO)
-    for w, m in prefix_products(LETTERS[map_kind], first_row, sorted(expected)):
-        if m.m12 != expected[w]:
+    longest = max(map(len, words), default=0)
+    for w, m in walk_words(LETTERS[map_kind], first_row, longest, keep):
+        if w in expected and m.m12 != expected[w]:
             raise AssertionError(f"packed bucket mismatch for word {w!r}")
 
 
@@ -281,12 +294,13 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
             classify: bool = True) -> CollisionReport:
     """All maximal groups of words of length <= max_len sharing their 12-entry.
 
-    The scan is one in-process walk that buckets every word by its packed
-    12-entry (one integer matrix product per word, limbs sized by
-    ``max_entry_at_one``).  Every word of a group of two or more is then
-    checked on ``LaurentPoly`` matrices, one first-row product per distinct
-    prefix of the sorted colliding words; a word whose entry differs from its
-    group's raises AssertionError naming it.
+    The scan is one in-process ``walk_words`` that buckets every word by its
+    packed 12-entry (one integer matrix product per word, limbs of the bit
+    length of ``max_entry_at_one``).  Every word of a group of two or more is
+    then checked on ``LaurentPoly`` matrices by a second ``walk_words``,
+    pruned to the prefixes of the colliding words: one first-row product per
+    distinct nonempty prefix.  A word whose entry differs from its group's
+    raises AssertionError naming it.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.
@@ -297,7 +311,7 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
         raise ValueError("max_len must be >= 0")
     if max_len > safety_bound:
         raise SearchBoundError(max_len, safety_bound, map_kind)
-    shift = max_entry_at_one(map_kind, max_len).bit_length() + 1
+    shift = max(max_entry_at_one(map_kind, max_len).bit_length(), 1)
     buckets: dict[int, list[str]] = {}
     for w, m in walk_words(packed_letters(map_kind, shift), Mat2.identity(1, 0), max_len):
         buckets.setdefault(m.m12, []).append(w)
@@ -362,7 +376,7 @@ def christoffel_injectivity(max_len: int) -> InjectivityReport:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    shift = max_entry_at_one("mu", max_len).bit_length() + 1
+    shift = max(max_entry_at_one("mu", max_len).bit_length(), 1)
     a, b = (packed_letters("mu", shift)[ch] for ch in "ab")
     packed = {"a": a.m12, "b": b.m12}
     for u, v, mat in christoffel_fold(max_len, a, b, operator.mul):

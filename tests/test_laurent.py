@@ -124,14 +124,6 @@ def test_json_round_trip_keeps_big_integers_exact():
     assert LaurentPoly.from_json_dict(data) == p
 
 
-def test_content_hash_stability():
-    p = LaurentPoly(0, (1, 4, 10))
-    r = LaurentPoly(-1, (0, 1, 4, 10, 0))
-    assert p.content_hash() == r.content_hash()
-    assert p.content_hash() != (p + ONE).content_hash()
-    assert len(p.content_hash()) == 32
-
-
 def test_int_mixing():
     p = LaurentPoly(0, (1, 1))
     assert p + 1 == LaurentPoly(0, (2, 1))

@@ -10,7 +10,7 @@ from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
                               max_entry_at_one, mu_q, mu_q_via_sigma,
-                              pack_poly, prefix_products, unpack_poly, walk_words)
+                              pack_poly, unpack_poly, walk_words)
 from qmarkoff.words import bar, iter_words
 
 from oracle import letter_product_at, matrix_at
@@ -246,8 +246,17 @@ def test_prefix_products_share_prefixes(kind):
 
     letters = {ch: Counting(*g.entries()) for ch, g in LETTERS[kind].items()}
     words = sorted(["", "ab", "abba", "abb", "b", "ab"] + list(iter_words("ab", 3)))
-    walked = list(prefix_products(letters, Counting(*Mat2.identity().entries()), words))
-    assert [w for w, _ in walked] == words
+    asked = []
+
+    def keep(prefix):
+        asked.append(prefix)
+        return any(w.startswith(prefix) for w in words)
+
+    walked = list(walk_words(letters, Counting(*Mat2.identity().entries()), 4, keep))
+    closure = {w[:i] for w in words for i in range(len(w) + 1)}
+    assert sorted(w for w, _ in walked) == sorted(closure)
     assert all(m == (M_q if kind == "M" else mu_q)(w) for w, m in walked)
     # one product per distinct nonempty prefix: the 14 words of length 1..3, plus "abba"
     assert Counting.calls == 15
+    # keep is asked once for each child of a kept word, and for nothing else
+    assert sorted(asked) == sorted(w + ch for w in closure if len(w) < 4 for ch in "ab")

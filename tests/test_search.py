@@ -1,6 +1,7 @@
 import os
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from qmarkoff import search
 from qmarkoff.cli import main
 from qmarkoff.identities import FAMILIES
 from qmarkoff.markoff import markoff_numbers_up_to
-from qmarkoff.qmatrix import M_q, mu_q
+from qmarkoff.qmatrix import M_q, Mat2, mu_q
 from qmarkoff.search import (Classification, SearchBoundError,
                              christoffel_injectivity, classify_pair, collide)
 from qmarkoff.words import christoffel_words, letter_counts
@@ -192,6 +193,50 @@ def test_bucket_soundness_check_catches_a_wrong_polynomial(monkeypatch, map_kind
     word = re.search(r"word '([ab]*)'", str(err.value)).group(1)
     word_map = M_q if map_kind == "M" else mu_q
     assert tamper(word_map(word).m12) == tampered[0]
+
+
+def test_bucket_soundness_check_makes_one_product_per_prefix(monkeypatch):
+    groups = collide("mu", 10, classify=False).groups
+    words = {w for g in groups for w in g.words}
+    prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
+    walked, products = [], []
+
+    def recording_walk(*args):
+        for w, m in walk_words(*args):
+            walked.append(w)
+            yield w, m
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    walk_words, mul = search.walk_words, Mat2.__mul__
+    monkeypatch.setattr(search, "walk_words", recording_walk)
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    search._verify_groups("mu", groups)
+    assert len(products) == len(prefixes) < 2 ** 11 - 1
+    assert sorted(walked) == sorted(prefixes | {""})
+
+
+@pytest.mark.parametrize("map_kind, max_len", [("M", 10), ("mu", 12)])
+def test_identity2_search_is_symmetric(map_kind, max_len):
+    # classify_pair tries the identity-2 witness in one direction only: the
+    # partner is an involution and the morphism images are distinct blocks
+    # of one length, so the reverse search finds a witness exactly when the
+    # forward one does
+    hits = checked = 0
+    for g in collide(map_kind, max_len, classify=False).groups:
+        for x, y in combinations(g.words, 2):
+            px, py = search._bracket(map_kind, x), search._bracket(map_kind, y)
+            if not (px and py and px[0] == py[0]):
+                continue
+            w_bound = max(len(x), len(y)) // 2
+            forward = search._identity2_witness(map_kind, px[1], py[1], w_bound)
+            reverse = search._identity2_witness(map_kind, py[1], px[1], w_bound)
+            assert (forward is None) == (reverse is None), (x, y)
+            hits += forward is not None
+            checked += 1
+    assert hits and checked > hits
 
 
 def test_collide_validates_arguments():
