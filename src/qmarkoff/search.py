@@ -15,6 +15,13 @@ same ``walk_words``, pruned to the prefixes of the colliding words (one
 Laurent matrix product per distinct nonempty prefix) and carrying only the
 first row of each product, which holds the 12-entry.
 
+Each group is classified by one pass, ``_classify_group``: every word is
+bracketed once, each word that can be explained with a later one gets one
+table (the involution image of its inner word and its identity-2 partner
+inner words), each pair is two lookups, and a union-find over the explained
+pairs in the same pass marks the chains.  ``classify_pair`` is that pass on
+a group of two.
+
 The scan runs in the calling process, whatever ``--jobs`` says: it costs one
 integer product per word, and worker processes would have to pickle every
 word's bucket back to the parent, whose unpickling and merging measured
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -82,14 +90,12 @@ class CollisionReport:
         return any(c.kind is Classification.UNEXPLAINED for c in self.classifications)
 
     def summary(self) -> dict:
-        counts = {kind.value: 0 for kind in Classification}
-        for c in self.classifications:
-            counts[c.kind.value] += 1
+        counts = Counter(c.kind for c in self.classifications)
         return {"groups": len(self.groups),
                 "colliding_words": sum(len(g.words) for g in self.groups),
                 "pairs": len(self.classifications),
                 "words_searched": self.words_searched,
-                **counts}
+                **{kind.value: counts[kind] for kind in Classification}}
 
     def group_of(self, word: str) -> Optional[CollisionGroup]:
         for g in self.groups:
@@ -136,18 +142,15 @@ class SearchBoundError(RuntimeError):
         self.bound = bound
 
 
-def _word_map(map_kind: str):
-    return M_q if map_kind == "M" else mu_q
-
-
 def classify_pair(x: str, y: str, map_kind: str = "mu",
                   require_collision: bool = True) -> PairClassification:
     """Direct classification of one colliding unordered pair.
 
     The pair must consist of two distinct words whose 12-entries agree
     (checked unless ``require_collision`` is disabled by a caller that has
-    already confirmed it).  Chain explanations need group context and are
-    assigned by :func:`collide`, not here.
+    already confirmed it).  The pair is classified as the two-word group
+    (x, y) by :func:`_classify_group`, the one classifier; chain
+    explanations need a larger group and are assigned by :func:`collide`.
     """
     require_word(x, BINARY)
     require_word(y, BINARY)
@@ -156,31 +159,10 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
     if map_kind not in LETTERS:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if require_collision:
-        fn = _word_map(map_kind)
+        fn = M_q if map_kind == "M" else mu_q
         if fn(x).m12 != fn(y).m12:
             raise ValueError(f"{x!r} and {y!r} do not share their 12-entry under {map_kind}")
-    w_bound = max(len(x), len(y)) // 2
-    id1 = id2 = None
-    px, py = _bracket(map_kind, x), _bracket(map_kind, y)
-    if px and py and px[0] == py[0]:
-        (k, bx), by = px, py[1]
-        id1 = _identity1_witness(map_kind, bx, by)
-        # one direction suffices: partner is an involution and the morphism's
-        # letter images are distinct blocks of one length, so (by, bx) has a
-        # witness exactly when (bx, by) has one
-        id2 = _identity2_witness(map_kind, bx, by, w_bound)
-    if id1 and id2:
-        kind = Classification.BOTH
-    elif id1:
-        kind = Classification.IDENTITY1
-    elif id2:
-        kind = Classification.IDENTITY2
-    else:
-        kind = Classification.UNEXPLAINED
-    witness = id2 or id1
-    if witness and map_kind == "M":
-        witness["k"] = k  # the leading a-run of both words
-    return PairClassification(x, y, kind, witness=witness, w_search_bound=w_bound)
+    return _classify_group(map_kind, (x, y))[0]
 
 
 #: Per map: the identity-1 involution, the identity-2 morphism, and the
@@ -198,69 +180,100 @@ def _bracket(map_kind: str, x: str) -> Optional[tuple[int, str]]:
     return (k, core[1:-1]) if len(core) >= 2 else None
 
 
-def _identity1_witness(map_kind: str, bx: str, by: str) -> Optional[dict]:
-    """The inner words are exchanged by the map's involution."""
-    if by == _FAMILY_MAPS[map_kind][0](bx):
-        return {"family": "identity1", "inner": bx}
-    return None
+def _identity2_partners(map_kind: str, inner: str,
+                        mates: list[str]) -> dict[str, tuple[int, str, str]]:
+    """Decompose ``inner`` as morphism_w(v) . w, for each |w| from 0 up, and
+    map each partner inner word morphism_w(partner(v)) . w to (|w|, w, v),
+    keeping the smallest |w|.  A partner ends in its w, so only the w that
+    some word of ``mates`` ends in are tried.
 
-
-def _identity2_witness(map_kind: str, bx: str, by: str, w_bound: int) -> Optional[dict]:
-    """Decompose the inner word bx as morphism_w(v) . w and check by against
-    morphism_w(partner(v)) . w."""
+    Two inner words are identity-2 partners in both directions alike:
+    partner is an involution and the morphism's letter images are distinct
+    blocks of one length."""
     _, morphism, base = _FAMILY_MAPS[map_kind]
-    n = len(bx)
-    if len(by) != n or n < base:
-        return None
-    for wlen in range(0, w_bound + 1):
-        block = 2 * wlen + base
-        body_len = n - wlen
-        if body_len < block or body_len % block:
-            continue
-        w = bx[body_len:]
-        if by[body_len:] != w:
+    n = len(inner)
+    table: dict[str, tuple[int, str, str]] = {}
+    for wlen in range((n - base) // 3 + 1):  # the body holds one block or more
+        body_len, block = n - wlen, 2 * wlen + base
+        w = inner[body_len:]
+        if body_len % block or not any(m.endswith(w) for m in mates):
             continue
         images = morphism(w)
-        v = _peel(bx[:body_len], images, block)
-        if v is not None and apply_morphism(images, partner(v)) + w == by:
-            return {"family": "identity2", "w": w, "v": v}
-    return None
+        inverse = {img: letter for letter, img in images.items()}
+        letters = [inverse.get(inner[i:i + block]) for i in range(0, body_len, block)]
+        if None not in letters:
+            v = "".join(letters)
+            table.setdefault(apply_morphism(images, partner(v)) + w, (wlen, w, v))
+    return table
 
 
-def _peel(body: str, images: dict[str, str], block: int) -> Optional[str]:
-    inverse = {img: letter for letter, img in images.items()}
-    letters = []
-    for i in range(0, len(body), block):
-        letter = inverse.get(body[i:i + block])
-        if letter is None:
-            return None
-        letters.append(letter)
-    return "".join(letters)
+def _classify_group(map_kind: str, words: tuple[str, ...]) -> list[PairClassification]:
+    """Classify every pair of one collision group, in the order of
+    ``combinations(words, 2)``.
+
+    Each word is bracketed once.  A pair can be explained only when both
+    words bracket with the same leading a-run k and inner words of one
+    length n.  Each word followed by such a word gets one table: the
+    involution image of its inner word (identity 1) and its identity-2
+    partners (``_identity2_partners``), decomposed only at the w that a
+    later inner word of its (k, n) class ends in.  A pair (x, y) is then
+    identity 1 when y's inner word is the image, and identity 2 when it is
+    a partner with |w| <= max(|x|, |y|) // 2; with both, the witness is
+    identity 2's.  A union-find over the explained pairs runs in the same
+    pass, and an unexplained pair whose words it joins is a chain.
+    """
+    involution = _FAMILY_MAPS[map_kind][0]
+    brackets: list[Optional[tuple[int, str]]] = [None] * len(words)
+    parent = list(range(len(words)))  # a union-find over the explained pairs
+    later: dict[tuple[int, int], list[str]] = {}  # (k, n) -> inner words after word i
+    rows = []  # the pairs (i, j), j > i, for i from the last word down
+    for i in range(len(words) - 1, -1, -1):
+        x = words[i]
+        bx = brackets[i] = _bracket(map_kind, x)
+        row = []
+        rows.append(row)
+        if bx is not None:
+            k, inner = bx
+            mates = later.setdefault((k, len(inner)), [])
+            if mates:
+                partners = _identity2_partners(map_kind, inner, mates)
+                image = involution(inner)
+            else:
+                bx = None  # no later word to pair with
+            mates.append(inner)
+        for j in range(i + 1, len(words)):
+            w_bound = max(len(x), len(words[j])) // 2
+            py = brackets[j]
+            kind = witness = None
+            if bx is not None and py is not None and py[0] == k:
+                by = py[1]
+                hit = partners.get(by)
+                if hit is not None and hit[0] <= w_bound:
+                    witness = {"family": "identity2", "w": hit[1], "v": hit[2]}
+                    kind = Classification.BOTH if by == image else Classification.IDENTITY2
+                elif by == image:
+                    witness = {"family": "identity1", "inner": inner}
+                    kind = Classification.IDENTITY1
+                if witness is not None:
+                    if map_kind == "M":
+                        witness["k"] = k  # the leading a-run of both words
+                    parent[_find(parent, i)] = _find(parent, j)
+            row.append((i, j, kind, witness, w_bound))
+    pairs = []
+    for row in reversed(rows):
+        for i, j, kind, witness, w_bound in row:
+            if kind is None:
+                joined = _find(parent, i) == _find(parent, j)
+                kind = Classification.CHAIN if joined else Classification.UNEXPLAINED
+            pairs.append(PairClassification(words[i], words[j], kind, witness, w_bound))
+    return pairs
 
 
-def _chain_upgrade(words: tuple[str, ...],
-                   pairs: list[PairClassification]) -> list[PairClassification]:
-    """Within one group, mark unexplained pairs whose endpoints are joined by
-    a chain of directly-explained pairs."""
-    parent = {w: w for w in words}
-
-    def find(w: str) -> str:
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for c in pairs:
-        if c.kind is not Classification.UNEXPLAINED:
-            parent[find(c.x)] = find(c.y)
-    out = []
-    for c in pairs:
-        if c.kind is Classification.UNEXPLAINED and find(c.x) == find(c.y):
-            out.append(PairClassification(c.x, c.y, Classification.CHAIN,
-                                          witness=None, w_search_bound=c.w_search_bound))
-        else:
-            out.append(c)
-    return out
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
@@ -300,7 +313,8 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     then checked on ``LaurentPoly`` matrices by a second ``walk_words``,
     pruned to the prefixes of the colliding words: one first-row product per
     distinct nonempty prefix.  A word whose entry differs from its group's
-    raises AssertionError naming it.
+    raises AssertionError naming it.  Each group's pairs are then classified
+    by one ``_classify_group`` pass, chains included.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.
@@ -332,12 +346,8 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
 
     classifications: list[PairClassification] = []
     if classify:
-        from itertools import combinations
-
         for g in groups:
-            pairs = [classify_pair(x, y, map_kind, require_collision=False)
-                     for x, y in combinations(g.words, 2)]
-            classifications.extend(_chain_upgrade(g.words, pairs))
+            classifications.extend(_classify_group(map_kind, g.words))
     return CollisionReport(map_kind, max_len, groups, classifications, words_searched)
 
 

@@ -273,6 +273,7 @@ def test_closed_stdout_exits_without_traceback():
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import oracle
 from qmarkoff import search
 from qmarkoff.cli import main
 from qmarkoff.identities import FAMILIES
@@ -220,23 +221,48 @@ def test_bucket_soundness_check_makes_one_product_per_prefix(monkeypatch):
 
 @pytest.mark.parametrize("map_kind, max_len", [("M", 10), ("mu", 12)])
 def test_identity2_search_is_symmetric(map_kind, max_len):
-    # classify_pair tries the identity-2 witness in one direction only: the
-    # partner is an involution and the morphism images are distinct blocks
-    # of one length, so the reverse search finds a witness exactly when the
-    # forward one does
+    # the group classifier looks a pair up in the table of its first word
+    # only: the partner is an involution and the morphism images are
+    # distinct blocks of one length, so by is in the table of bx exactly
+    # when bx is in the table of by, at the same |w|
     hits = checked = 0
     for g in collide(map_kind, max_len, classify=False).groups:
         for x, y in combinations(g.words, 2):
             px, py = search._bracket(map_kind, x), search._bracket(map_kind, y)
             if not (px and py and px[0] == py[0]):
                 continue
-            w_bound = max(len(x), len(y)) // 2
-            forward = search._identity2_witness(map_kind, px[1], py[1], w_bound)
-            reverse = search._identity2_witness(map_kind, py[1], px[1], w_bound)
+            forward = search._identity2_partners(map_kind, px[1], [py[1]]).get(py[1])
+            reverse = search._identity2_partners(map_kind, py[1], [px[1]]).get(px[1])
             assert (forward is None) == (reverse is None), (x, y)
+            if forward is not None:
+                assert forward[0] == reverse[0], (x, y, forward, reverse)
             hits += forward is not None
             checked += 1
     assert hits and checked > hits
+
+
+def _verdict(c):
+    return c.x, c.y, c.kind.value, c.witness, c.w_search_bound
+
+
+@pytest.mark.parametrize("map_kind, max_len", [("M", 12), ("mu", 14)])
+def test_group_classifier_matches_the_per_pair_reference(map_kind, max_len):
+    report = collide(map_kind, max_len)
+    expected = [v for g in report.groups for v in oracle.classify_group(map_kind, g.words)]
+    assert [_verdict(c) for c in report.classifications] == expected
+    kinds = {v[2] for v in expected}
+    assert {"identity1", "both", "chain"} <= kinds
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_classify_pair_matches_the_per_pair_reference(family):
+    map_kind = FAMILIES[family][0]
+    for _, x, y in _family_instances(family, 300, seed=len(family)):
+        if x == y:
+            continue
+        for a, b in ((x, y), (y, x)):
+            got = classify_pair(a, b, map_kind, require_collision=False)
+            assert _verdict(got) == oracle.classify_pair(map_kind, a, b)
 
 
 def test_collide_validates_arguments():
