@@ -8,9 +8,13 @@ is not an integer >= 1), 3 unexplained collision pairs found (evidence
 signal), 4 resource bound hit (``collide`` past its ``--safety-bound``;
 ``residues`` or ``figure2-data`` past ``--max-len`` 14283, the longest
 length whose word count 2^(max_len+1) - 1 Python can print), 141 stdout was
-closed before the output was written (e.g. piped into head).  ``--jobs``
-(default 1, read from no environment variable) is accepted by every command
-and changes no output: every command runs in one process.
+closed before all of the output was written (e.g. piped into head).
+``--jobs`` (default 1, read from no environment variable) is accepted by
+every command and changes no output: every command runs in one process.
+
+``collide`` writes its JSON in chunks as it renders them, straight from the
+report's objects; every other command renders one value with ``_json_text``.
+Both give the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .cyclotomic import (ResidueBoundError, cone_of, eval_cyclotomic, figure2_ro
 from .identities import FAMILIES, alternating_words, delta, verify_family
 from .markoff import markoff_numbers, markoff_numbers_up_to
 from .qmatrix import M_q, mu_q
-from .search import SearchBoundError, collide
+from .search import (CollisionGroup, CollisionReport, PairClassification,
+                     SearchBoundError, collide)
 from .words import (BINARY, EXTENDED, christoffel_words, letter_counts,
                     require_word, stern_brocot_fraction)
 
@@ -40,15 +45,18 @@ EXIT_RESOURCE = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
 
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+def _json_writer() -> Callable[[object, str], str]:
+    """A function render(value, newline) giving the text of
+    ``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with
+    ``newline`` (a line break and the indent of the value's own level) in
+    place of each line break; at the top level ``newline`` is "\n".
 
     The standard library writes indented JSON with its pure-Python encoder,
     one small string per token.  Here each dict, list or tuple is one
     ``str.join`` of its items' texts, strings use the C string encoder, each
-    distinct string key is encoded once, and a leaf other than a str, int,
-    bool or None goes to ``json.dumps``, which writes leaves as the indented
-    encoder does.
+    distinct string key is encoded once per writer, and a leaf other than a
+    str, int, bool or None goes to ``json.dumps``, which writes leaves as the
+    indented encoder does.
     """
     encode = json.encoder.encode_basestring_ascii
     key_heads: dict[str, str] = {}
@@ -87,19 +95,75 @@ def _json_text(obj: object) -> str:
                 + newline + "]")
         return json.dumps(value)  # any other leaf, e.g. a float or a str subclass
 
-    return render(obj, "\n")
+    return render
+
+
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte (see
+    ``_json_writer``)."""
+    return _json_writer()(obj, "\n")
+
+
+def _collide_json(report: CollisionReport) -> Iterator[str]:
+    """``_json_text(report.to_json_dict()) + "\n"``, in chunks of text.
+
+    The pairs and the groups are written straight from the report's
+    objects, one fixed template each with its keys in sorted order (the
+    writer renders only their witnesses and polynomials), a chunk of at most
+    2048 of them at a time, so neither the dict tree nor the whole text is
+    ever built."""
+    render = _json_writer()
+    encode = json.encoder.encode_basestring_ascii
+    pair_text = ('{\n      "kind": %s,\n      "w_search_bound": %d,\n      "witness": %s,'
+                 '\n      "x": %s,\n      "y": %s\n    }')
+    group_text = '{\n      "polynomial": %s,\n      "words": [\n        %s\n      ]\n    }'
+
+    def pair(c: PairClassification) -> str:
+        # the kind is a str enum, which the string encoder writes as its value
+        return pair_text % (encode(c.kind), c.w_search_bound,
+                            render(c.witness, "\n      "), encode(c.x), encode(c.y))
+
+    def group(g: CollisionGroup) -> str:
+        return group_text % (render(g.polynomial.to_json_dict(), "\n      "),
+                             ",\n        ".join(map(encode, g.words)))
+
+    def items(values: list, text: Callable[..., str]) -> Iterator[str]:
+        if not values:
+            yield "[]"
+            return
+        sep = "[\n    "
+        for i in range(0, len(values), 2048):
+            yield sep + ",\n    ".join(map(text, values[i:i + 2048]))
+            sep = ",\n    "
+        yield "\n  ]"
+
+    # the top-level keys in sorted order: these two, then the tail's four
+    yield '{\n  "classifications": '
+    yield from items(report.classifications, pair)
+    yield ',\n  "groups": '
+    yield from items(report.groups, group)
+    tail = _json_text({"map": report.map_kind, "max_len": report.max_len,
+                       "summary": report.summary(),
+                       "unexplained_present": report.has_unexplained})
+    yield ",\n" + tail[len("{\n"):] + "\n"
 
 
 def _emit(fmt: str, json_of: Callable[[], object], header: list[str],
           rows: Iterable, human: Optional[Iterable[str]] = None) -> None:
     """Write one result to stdout in ``fmt``.
 
-    Only the chosen format is built: ``json_of`` is called for JSON, the CSV
-    ``rows`` (below ``header``) and the ``human`` lines are iterated lazily.
-    A command without a human form (``human`` None) prints CSV instead.
+    Only the chosen format is built: ``json_of`` is called for JSON and
+    returns the value to write, or an iterator of its text in chunks, which
+    are written as they come; the CSV ``rows`` (below ``header``) and the
+    ``human`` lines are iterated lazily.  A command without a human form
+    (``human`` None) prints CSV instead.
     """
     if fmt == "json":
-        print(_json_text(json_of()))
+        value = json_of()
+        if isinstance(value, Iterator):
+            sys.stdout.writelines(value)
+        else:
+            print(_json_text(value))
     elif fmt == "csv" or human is None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -169,7 +233,8 @@ def _cmd_collide(args: argparse.Namespace) -> int:
             if c.kind.value == "unexplained":
                 yield f"  UNEXPLAINED: ({c.x or empty}, {c.y or empty})"
 
-    _emit(args.format, report.to_json_dict, ["group", "word", "length", "polynomial"],
+    _emit(args.format, lambda: _collide_json(report),
+          ["group", "word", "length", "polynomial"],
           ([i, w, len(w), str(g.polynomial)]
            for i, g in enumerate(report.groups) for w in g.words),
           human())

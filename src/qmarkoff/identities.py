@@ -18,7 +18,8 @@ from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly
 from .qmatrix import M_q, mu_q
-from .words import BINARY, EXTENDED, apply_morphism, bar, mirror, require_word
+from .words import (BINARY, EXTENDED, _bar, apply_morphism, bar, mirror,
+                    require_word)
 
 #: Two-letter refinement of the extended alphabet: the image alternates one
 #: letter of {a,b} with one of {c,d}.  Images are chosen so that
@@ -30,14 +31,22 @@ _PARTNER_TABLE = str.maketrans("ab", "ba")
 
 def partner(v: str) -> str:
     """Reverse v and exchange a with b, leaving c and d fixed."""
-    require_word(v, EXTENDED)
+    return _partner(require_word(v, EXTENDED))
+
+
+def _partner(v: str) -> str:
+    """``partner`` of a word already known to be over the extended alphabet."""
     return v[::-1].translate(_PARTNER_TABLE)
 
 
 def phi(w: str) -> dict[str, str]:
     """Letter images of the first four-letter morphism with parameter w."""
-    require_word(w, BINARY)
-    bw = bar(w)
+    return _phi(require_word(w, BINARY))
+
+
+def _phi(w: str) -> dict[str, str]:
+    """``phi`` of a word already known to be binary."""
+    bw = _bar(w)
     return {
         "a": w + "abba" + bw + "abba",
         "b": w + "baab" + bw + "baab",
@@ -48,7 +57,11 @@ def phi(w: str) -> dict[str, str]:
 
 def psi(w: str) -> dict[str, str]:
     """Letter images of the second four-letter morphism with parameter w."""
-    require_word(w, BINARY)
+    return _psi(require_word(w, BINARY))
+
+
+def _psi(w: str) -> dict[str, str]:
+    """``psi`` of a word already known to be binary."""
     mw = mirror(w)
     return {
         "a": w + "ab" + mw + "ab",

@@ -1,6 +1,7 @@
 """2x2 matrices over a commutative ring, the two word-to-matrix
-homomorphisms, the packed exact product engine behind them, and the word
-walker shared by the searches.
+homomorphisms, the packed exact product engine behind them, the word
+walker shared by the searches, and the shift-and-add first-row step that
+the collision search's soundness check walks with.
 
 ``M_q`` sends a to the lower-triangular generator and b to the
 upper-triangular one; ``mu_q`` sends each letter to a fixed product of those
@@ -217,18 +218,21 @@ def mu_q(w: str) -> Mat2:
     return _word_product("mu", w)
 
 
-def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
-               keep: Optional[Callable[[str], bool]] = None) -> Iterator[tuple[str, Mat2]]:
-    """Yield (word, ``identity`` times the product of its letter matrices)
-    depth-first for every word of length <= max_len or, given ``keep``, for
-    every such word whose nonempty prefixes ``keep`` all accepts.
+def walk_words(letters: Mapping[str, object], start: object, max_len: int,
+               keep: Optional[Callable[[str], bool]] = None,
+               step: Callable = operator.mul) -> Iterator[tuple[str, object]]:
+    """Yield (word, ``start`` stepped through its letters) depth-first for
+    every word of length <= max_len or, given ``keep``, for every such word
+    whose nonempty prefixes ``keep`` all accepts.
 
-    ``letters`` maps each letter to its matrix over the ring of ``identity``
-    (which may be any start matrix); every yielded nonempty word costs one
-    matrix multiplication, and ``keep`` is asked before a word's product is
-    made, so a rejected word and everything below it cost nothing.
+    A child's value is ``step(value of its parent, letters[letter])``; by
+    default ``step`` multiplies, so ``letters`` maps each letter to its
+    matrix over the ring of ``start`` (which may be any start matrix).
+    Every yielded nonempty word costs one step, and ``keep`` is asked before
+    a word's step is made, so a rejected word and everything below it cost
+    nothing.
     """
-    stack = [("", identity)]
+    stack = [("", start)]
     while stack:
         w, m = stack.pop()
         yield w, m
@@ -236,7 +240,29 @@ def walk_words(letters: Mapping[str, Mat2], identity: Mat2, max_len: int,
             for ch, g in letters.items():
                 child = w + ch
                 if keep is None or keep(child):
-                    stack.append((child, m * g))
+                    stack.append((child, step(m, g)))
+
+
+def first_row_step(row: tuple[tuple[int, ...], tuple[int, ...]],
+                   image: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first row (p, r) of a matrix over N[q], times ``M_q(image)``.
+
+    p and r are coefficient tuples from q^0 up, with no trailing zeros.
+    ``L_Q`` maps (p, r) to (q(p + r), r) and ``R_Q`` maps it to
+    (q p, p + r), so each letter costs one coefficient addition and one
+    shift, and no multiplication.  mu_q(w) = M_q(sigma(w)), so stepping
+    through ``SIGMA``'s images gives the first row of mu_q.  The route uses
+    neither packing nor ``Mat2``.
+    """
+    p, r = row
+    for ch in image:
+        # p + r: the shared coefficients summed, then the longer one's tail
+        s = tuple(map(operator.add, p, r)) + (p[len(r):] if len(p) > len(r) else r[len(p):])
+        if ch == "a":
+            p = (0,) + s
+        else:
+            p, r = (0,) + p, s
+    return p, r
 
 
 def mu_q_via_sigma(w: str) -> Mat2:

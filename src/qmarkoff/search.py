@@ -10,10 +10,15 @@ is the bit length of ``qmatrix.max_entry_at_one``, a bound on the q = 1
 entries of all words up to max_len, which bounds every coefficient: packing
 is injective.  Groups are keyed by the packed upper-right entry, unpacked
 once per group, and re-verified afterwards on an independent route: every
-colliding word's 12-entry is recomputed on ``LaurentPoly`` matrices by the
-same ``walk_words``, pruned to the prefixes of the colliding words (one
-Laurent matrix product per distinct nonempty prefix) and carrying only the
-first row of each product, which holds the 12-entry.
+colliding word's 12-entry is recomputed by the same ``walk_words``, pruned
+to the prefixes of the colliding words, carrying only the first row of the
+word's matrix, which holds the 12-entry, as plain coefficient tuples.  Each
+step multiplies that row by the M letters (a mu letter by those of its sigma
+image) through shift and add, with no multiplication
+(``qmatrix.first_row_step``): one step per distinct nonempty prefix.
+
+Inner words cut from validated words go to the unchecked forms of
+``bar``, ``partner``, ``phi`` and ``psi``, which skip ``require_word``.
 
 Each group is classified by one pass, ``_classify_group``: every word is
 bracketed once, each word that can be explained with a later one gets one
@@ -38,11 +43,11 @@ from enum import Enum
 from typing import Optional
 
 from .cyclotomic import eval_cyclotomic
-from .identities import partner, phi, psi
-from .laurent import ONE, ZERO, LaurentPoly
-from .qmatrix import (LETTERS, M_q, Mat2, max_entry_at_one, mu_q, packed_letters,
-                      unpack_poly, walk_words)
-from .words import (BINARY, apply_morphism, bar, christoffel_fold,
+from .identities import _partner, _phi, _psi
+from .laurent import LaurentPoly
+from .qmatrix import (LETTERS, M_q, Mat2, first_row_step, max_entry_at_one, mu_q,
+                      packed_letters, unpack_poly, walk_words)
+from .words import (BINARY, SIGMA, _bar, apply_morphism, christoffel_fold,
                     letter_counts, mirror, require_word)
 
 
@@ -113,11 +118,12 @@ class CollisionReport:
 
 #: Peak resident bytes per searched word of ``qmarkoff collide``, classify and
 #: JSON output included: the rise in peak RSS from --max-len 13 to 14 over the
-#: 16,384 added words (Python 3.11, x86-64; M 69.0 -> 121.3 MiB, mu 36.7 ->
-#: 55.7 MiB, about 3,350 and 1,220 bytes; from 12 to 13 the slopes were 3,250
-#: and 1,190 bytes), rounded up.  M costs more because its groups, and so its
-#: pairs, are far larger.
-_BYTES_PER_WORD = {"M": 3400, "mu": 1300}
+#: 16,384 added words (Python 3.11, x86-64, JSON streamed to /dev/null;
+#: M 32.2 -> 46.2 MiB, mu 28.9 -> 38.8 MiB, about 900 and 630 bytes), rounded
+#: up past every slope measured from 12 to 16 (M 810-910, mu 600-870 bytes:
+#: the buckets' dict grows in steps).  M costs more because its groups, and
+#: so its pairs, are far larger.
+_BYTES_PER_WORD = {"M": 1000, "mu": 900}
 
 
 class SearchBoundError(RuntimeError):
@@ -166,8 +172,9 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
 
 
 #: Per map: the identity-1 involution, the identity-2 morphism, and the
-#: length of that morphism's letter images at w = "".
-_FAMILY_MAPS = {"mu": (mirror, psi, 4), "M": (bar, phi, 8)}
+#: length of that morphism's letter images at w = "".  These are the
+#: unchecked forms: every word they see was cut from a validated word.
+_FAMILY_MAPS = {"mu": (mirror, _psi, 4), "M": (_bar, _phi, 8)}
 
 
 def _bracket(map_kind: str, x: str) -> Optional[tuple[int, str]]:
@@ -203,7 +210,7 @@ def _identity2_partners(map_kind: str, inner: str,
         letters = [inverse.get(inner[i:i + block]) for i in range(0, body_len, block)]
         if None not in letters:
             v = "".join(letters)
-            table.setdefault(apply_morphism(images, partner(v)) + w, (wlen, w, v))
+            table.setdefault(apply_morphism(images, _partner(v)) + w, (wlen, w, v))
     return table
 
 
@@ -278,16 +285,17 @@ def _find(parent: list[int], i: int) -> int:
 
 def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     """Bucket soundness: recompute the 12-entry of every colliding word on
-    LaurentPoly matrices, independently of the packed route, and raise
-    AssertionError naming a word whose entry differs from its group's.
+    an exact route independent of packing, and raise AssertionError naming a
+    word whose entry differs from its group's.
 
+    The route carries the first row (p, r) of the word's matrix as plain
+    coefficient tuples, whose second entry is the 12-entry, and steps it
+    through the M letters by shift and add (``qmatrix.first_row_step``; a mu
+    letter through its sigma image, since mu = M o sigma).
     ``walk_words`` is pruned to the prefixes of the colliding words, so it
-    reaches every colliding word and costs one Laurent matrix product per
-    distinct nonempty prefix; a prefix is recognised by a binary search of
-    the sorted words, with no set of prefixes built.  The walk starts from
-    e1 e1^T = [[1, 0], [0, 0]] instead of the identity: each product then
-    carries only the first row of the word's matrix, whose second entry is
-    the 12-entry, and the zero second row costs no convolution."""
+    reaches every colliding word and costs one row step per distinct
+    nonempty prefix; a prefix is recognised by a binary search of the sorted
+    words, with no set of prefixes built."""
     expected = {w: g.polynomial for g in groups for w in g.words}
     words = sorted(expected)
 
@@ -296,10 +304,11 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
         i = bisect_left(words, prefix)
         return i < len(words) and words[i].startswith(prefix)
 
-    first_row = Mat2(ONE, ZERO, ZERO, ZERO)
+    # the M letters each letter stands for
+    images = SIGMA if map_kind == "mu" else {"a": "a", "b": "b"}
     longest = max(map(len, words), default=0)
-    for w, m in walk_words(LETTERS[map_kind], first_row, longest, keep):
-        if w in expected and m.m12 != expected[w]:
+    for w, (_, r) in walk_words(images, ((1,), ()), longest, keep, first_row_step):
+        if w in expected and LaurentPoly(0, r) != expected[w]:
             raise AssertionError(f"packed bucket mismatch for word {w!r}")
 
 
@@ -310,11 +319,12 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     The scan is one in-process ``walk_words`` that buckets every word by its
     packed 12-entry (one integer matrix product per word, limbs of the bit
     length of ``max_entry_at_one``).  Every word of a group of two or more is
-    then checked on ``LaurentPoly`` matrices by a second ``walk_words``,
-    pruned to the prefixes of the colliding words: one first-row product per
-    distinct nonempty prefix.  A word whose entry differs from its group's
-    raises AssertionError naming it.  Each group's pairs are then classified
-    by one ``_classify_group`` pass, chains included.
+    then checked by ``_verify_groups``, a second ``walk_words`` pruned to the
+    prefixes of the colliding words, on the first row of the word's matrix
+    stepped by shift and add: one row step per distinct nonempty prefix.  A
+    word whose entry differs from its group's raises AssertionError naming
+    it.  Each group's pairs are then classified by one ``_classify_group``
+    pass, chains included.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.

@@ -43,7 +43,11 @@ def mirror(w: str) -> str:
 
 def bar(w: str) -> str:
     """Reverse the word and exchange a with b and c with d."""
-    require_word(w, EXTENDED)
+    return _bar(require_word(w, EXTENDED))
+
+
+def _bar(w: str) -> str:
+    """``bar`` of a word already known to be over the extended alphabet."""
     return w[::-1].translate(_BAR_TABLE)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qmarkoff import cyclotomic, search
+from qmarkoff import cli, cyclotomic, search
 from qmarkoff.cli import _json_text, main
 from qmarkoff.cyclotomic import residue_relation_check
 from qmarkoff.laurent import LaurentPoly
@@ -257,24 +257,65 @@ def test_verify_identities_rejects_negative_counts(capsys, flag):
     assert f"{flag} must be >= 0" in err
 
 
-def test_closed_stdout_exits_without_traceback():
+def _close_stdout_after_first_line(*argv):
+    """Run the CLI with stdout a pipe closed after its first line; return
+    that line, the exit code and stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "qmarkoff.cli", "christoffel", "--max-len", "200",
-         "--format", "human"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "qmarkoff.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert proc.stdout.readline() == b"a\n"
-        proc.stdout.close()  # about 1.6 MB are still to come
+        line = proc.stdout.readline()
+        proc.stdout.close()
         err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 141
+        return line, proc.wait(timeout=60), err
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_closed_stdout_exits_without_traceback():
+    # about 1.6 MB are still to come after the first line
+    line, code, err = _close_stdout_after_first_line(
+        "christoffel", "--max-len", "200", "--format", "human")
+    assert line == b"a\n"
+    assert code == 141
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_without_traceback_mid_stream():
+    # the collide JSON is written in chunks; megabytes are still to come
+    line, code, err = _close_stdout_after_first_line("collide", "--map", "M",
+                                                     "--max-len", "12")
+    assert line == b"{\n"
+    assert code == 141
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+@pytest.mark.parametrize("classify", [True, False], ids=["classify", "no-classify"])
+def test_collide_json_streams_the_json_writer_bytes(capsys, monkeypatch, map_kind,
+                                                    classify):
+    reports = []
+
+    def recording_collide(*args, **kwargs):
+        reports.append(collide(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "collide", recording_collide)
+    outputs = []
+    for max_len in range(13):
+        argv = ["collide", "--map", map_kind, "--max-len", str(max_len)]
+        main(argv if classify else [*argv, "--no-classify"])
+        outputs.append(capsys.readouterr().out)
+        assert outputs[-1] == _json_text(reports[-1].to_json_dict()) + "\n", max_len
+    # empty lists: no pairs (mu at lengths 0..4, or unclassified) and, for M,
+    # the zero polynomial of the group of a^n
+    assert '"classifications": []' in outputs[0]
+    assert '"groups": []' in outputs[0]
+    assert ('"coeffs": []' in outputs[12]) == (map_kind == "M")
 
 
 json_strings = st.text() | st.sampled_from(

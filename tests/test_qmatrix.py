@@ -9,9 +9,9 @@ from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
-                              max_entry_at_one, mu_q, mu_q_via_sigma,
-                              pack_poly, unpack_poly, walk_words)
-from qmarkoff.words import bar, iter_words
+                              first_row_step, max_entry_at_one, mu_q,
+                              mu_q_via_sigma, pack_poly, unpack_poly, walk_words)
+from qmarkoff.words import SIGMA, bar, iter_words
 
 from oracle import letter_product_at, matrix_at
 
@@ -172,6 +172,20 @@ def test_walker_yields_every_word_once_with_its_product(kind, word_map):
         assert sorted(w for w, _ in walked) == sorted(iter_words("ab", 8))
         for w, m in walked:
             assert m == expected(w)
+
+
+@pytest.mark.parametrize("kind, word_map, images", [
+    ("M", M_q, {"a": "a", "b": "b"}),
+    ("mu", mu_q, SIGMA),
+])
+def test_first_row_steps_give_the_first_row_of_every_word(kind, word_map, images):
+    walked = list(walk_words(images, ((1,), ()), 12, step=first_row_step))
+    assert sorted(w for w, _ in walked) == sorted(iter_words("ab", 12))
+    for w, (p, r) in walked:
+        m = word_map(w)
+        assert (LaurentPoly(0, p), LaurentPoly(0, r)) == (m.m11, m.m12), w
+        # coefficients from q^0 up, with no trailing zero
+        assert p[-1:] != (0,) and r[-1:] != (0,)
 
 
 @pytest.fixture(scope="module")

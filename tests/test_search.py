@@ -10,7 +10,7 @@ from qmarkoff import search
 from qmarkoff.cli import main
 from qmarkoff.identities import FAMILIES
 from qmarkoff.markoff import markoff_numbers_up_to
-from qmarkoff.qmatrix import M_q, Mat2, mu_q
+from qmarkoff.qmatrix import M_q, mu_q
 from qmarkoff.search import (Classification, SearchBoundError,
                              christoffel_injectivity, classify_pair, collide)
 from qmarkoff.words import christoffel_words, letter_counts
@@ -156,8 +156,8 @@ def test_safety_bound_refusal():
         collide("mu", 6, safety_bound=5)
     assert "safety bound" in str(err.value)
     # the estimate uses the measured per-word figure of each map
-    assert "roughly 40 MiB" in str(SearchBoundError(14, 13, "mu"))
-    assert "roughly 106 MiB" in str(SearchBoundError(14, 13, "M"))
+    assert "roughly 28 MiB" in str(SearchBoundError(14, 13, "mu"))
+    assert "roughly 31 MiB" in str(SearchBoundError(14, 13, "M"))
     # raising the bound permits the same search
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
 
@@ -197,25 +197,26 @@ def test_bucket_soundness_check_catches_a_wrong_polynomial(monkeypatch, map_kind
 
 
 def test_bucket_soundness_check_makes_one_product_per_prefix(monkeypatch):
+    # the products are row steps: one per distinct nonempty prefix
     groups = collide("mu", 10, classify=False).groups
     words = {w for g in groups for w in g.words}
     prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
-    walked, products = [], []
+    walked, steps = [], []
 
     def recording_walk(*args):
         for w, m in walk_words(*args):
             walked.append(w)
             yield w, m
 
-    def counting_mul(self, other):
-        products.append(other)
-        return mul(self, other)
+    def counting_step(row, image):
+        steps.append(image)
+        return step(row, image)
 
-    walk_words, mul = search.walk_words, Mat2.__mul__
+    walk_words, step = search.walk_words, search.first_row_step
     monkeypatch.setattr(search, "walk_words", recording_walk)
-    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    monkeypatch.setattr(search, "first_row_step", counting_step)
     search._verify_groups("mu", groups)
-    assert len(products) == len(prefixes) < 2 ** 11 - 1
+    assert len(steps) == len(prefixes) < 2 ** 11 - 1
     assert sorted(walked) == sorted(prefixes | {""})
 
 
