@@ -13,8 +13,11 @@ closed before all of the output was written (e.g. piped into head).
 every command and changes no output: every command runs in one process.
 
 ``collide`` writes its JSON in chunks as it renders them, straight from the
-report's objects; every other command renders one value with ``_json_text``.
-Both give the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.
+report's objects, classifying and writing the pairs one group at a time;
+every other command renders one value with ``_json_text``.  Both give the
+bytes of ``json.dumps(..., sort_keys=True, indent=2)``.  Every output form of
+``collide`` classifies each collision group once: JSON and human output as
+they write the pairs, CSV (which lists no pairs) for its exit code.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .cyclotomic import (ResidueBoundError, cone_of, eval_cyclotomic, figure2_ro
 from .identities import FAMILIES, alternating_words, delta, verify_family
 from .markoff import markoff_numbers, markoff_numbers_up_to
 from .qmatrix import M_q, mu_q
-from .search import (CollisionGroup, CollisionReport, PairClassification,
-                     SearchBoundError, collide)
+from .search import (Classification, CollisionGroup, CollisionReport,
+                     PairClassification, SearchBoundError, collide)
 from .words import (BINARY, EXTENDED, christoffel_words, letter_counts,
                     require_word, stern_brocot_fraction)
 
@@ -107,41 +110,57 @@ def _json_text(obj: object) -> str:
 def _collide_json(report: CollisionReport) -> Iterator[str]:
     """``_json_text(report.to_json_dict()) + "\n"``, in chunks of text.
 
-    The pairs and the groups are written straight from the report's
-    objects, one fixed template each with its keys in sorted order (the
-    writer renders only their witnesses and polynomials), a chunk of at most
-    2048 of them at a time, so neither the dict tree nor the whole text is
-    ever built."""
+    The pairs come first in sorted-key order, so they are classified one
+    group at a time (``report.group_pairs``), written as one chunk and
+    dropped; the summary after them reads the tallies of that pass.  The
+    pairs, their witnesses and the groups are written straight from the
+    report's objects, each through a fixed ``%`` template with its keys in
+    sorted order (a witness through one template per key set), so neither
+    the dict tree, the whole text nor the list of pairs is ever built; the
+    groups go a chunk of at most 2048 at a time."""
     render = _json_writer()
     encode = json.encoder.encode_basestring_ascii
     pair_text = ('{\n      "kind": %s,\n      "w_search_bound": %d,\n      "witness": %s,'
                  '\n      "x": %s,\n      "y": %s\n    }')
     group_text = '{\n      "polynomial": %s,\n      "words": [\n        %s\n      ]\n    }'
+    witness_forms: dict[tuple, tuple[str, list]] = {}  # keys -> (template, sorted keys)
+
+    def witness(w: Optional[dict]) -> str:
+        if w is None:
+            return "null"
+        keys = tuple(w)
+        form = witness_forms.get(keys)
+        if form is None:
+            order = sorted(keys)
+            template = "{" + ",".join(["\n        " + encode(k) + ": %s" for k in order])
+            form = witness_forms[keys] = template + "\n      }", order
+        template, order = form
+        return template % tuple([encode(v) if type(v) is str else render(v, "\n        ")
+                                 for v in map(w.__getitem__, order)])
 
     def pair(c: PairClassification) -> str:
         # the kind is a str enum, which the string encoder writes as its value
-        return pair_text % (encode(c.kind), c.w_search_bound,
-                            render(c.witness, "\n      "), encode(c.x), encode(c.y))
+        return pair_text % (encode(c.kind), c.w_search_bound, witness(c.witness),
+                            encode(c.x), encode(c.y))
 
     def group(g: CollisionGroup) -> str:
         return group_text % (render(g.polynomial.to_json_dict(), "\n      "),
                              ",\n        ".join(map(encode, g.words)))
 
-    def items(values: list, text: Callable[..., str]) -> Iterator[str]:
-        if not values:
-            yield "[]"
-            return
+    def items(chunks: Iterable[list], text: Callable[..., str]) -> Iterator[str]:
+        # one list of values per chunk of text; "[]" when there are none
         sep = "[\n    "
-        for i in range(0, len(values), 2048):
-            yield sep + ",\n    ".join(map(text, values[i:i + 2048]))
+        for values in chunks:
+            yield sep + ",\n    ".join(map(text, values))
             sep = ",\n    "
-        yield "\n  ]"
+        yield "[]" if sep == "[\n    " else "\n  ]"
 
     # the top-level keys in sorted order: these two, then the tail's four
+    groups = report.groups
     yield '{\n  "classifications": '
-    yield from items(report.classifications, pair)
+    yield from items(report.group_pairs(), pair)
     yield ',\n  "groups": '
-    yield from items(report.groups, group)
+    yield from items((groups[i:i + 2048] for i in range(0, len(groups), 2048)), group)
     tail = _json_text({"map": report.map_kind, "max_len": report.max_len,
                        "summary": report.summary(),
                        "unexplained_present": report.has_unexplained})
@@ -223,15 +242,15 @@ def _cmd_collide(args: argparse.Namespace) -> int:
                      classify=not args.no_classify)
 
     def human() -> Iterator[str]:
-        summary = report.summary()
-        yield (f"{summary['groups']} groups, {summary['pairs']} pairs "
-               f"over {summary['words_searched']} words")
+        yield (f"{len(report.groups)} groups, {report.pair_count} pairs "
+               f"over {report.words_searched} words")
         empty = "''"
         for g in report.groups:
             yield "  {" + ", ".join(w or empty for w in g.words) + "}  " + str(g.polynomial)
-        for c in report.classifications:
-            if c.kind.value == "unexplained":
-                yield f"  UNEXPLAINED: ({c.x or empty}, {c.y or empty})"
+        for pairs in report.group_pairs():
+            for c in pairs:
+                if c.kind is Classification.UNEXPLAINED:
+                    yield f"  UNEXPLAINED: ({c.x or empty}, {c.y or empty})"
 
     _emit(args.format, lambda: _collide_json(report),
           ["group", "word", "length", "polynomial"],
@@ -240,8 +259,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
           human())
     if report.has_unexplained:
         print(f"unexplained pairs present (searched w up to length "
-              f"{max((c.w_search_bound for c in report.classifications), default=0)})",
-              file=sys.stderr)
+              f"{report.w_search_bound})", file=sys.stderr)
         return EXIT_EVIDENCE
     return EXIT_OK
 

@@ -15,7 +15,8 @@ to the prefixes of the colliding words, carrying only the first row of the
 word's matrix, which holds the 12-entry, as plain coefficient tuples.  Each
 step multiplies that row by the M letters (a mu letter by those of its sigma
 image) through shift and add, with no multiplication
-(``qmatrix.first_row_step``): one step per distinct nonempty prefix.
+(``qmatrix.first_row_step``): one step per distinct nonempty prefix.  The
+row's 12-entry is compared with its group polynomial's coefficient tuple.
 
 Inner words cut from validated words go to the unchecked forms of
 ``bar``, ``partner``, ``phi`` and ``psi``, which skip ``require_word``.
@@ -25,7 +26,9 @@ bracketed once, each word that can be explained with a later one gets one
 table (the involution image of its inner word and its identity-2 partner
 inner words), each pair is two lookups, and a union-find over the explained
 pairs in the same pass marks the chains.  ``classify_pair`` is that pass on
-a group of two.
+a group of two.  The report holds no pairs: ``CollisionReport.group_pairs``
+classifies one group at a time and tallies what the summary needs, so a
+census's memory grows with its words, not with its pairs.
 
 The scan runs in the calling process, whatever ``--jobs`` says: it costs one
 integer product per word, and worker processes would have to pickle every
@@ -40,7 +43,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional
 
 from .cyclotomic import eval_cyclotomic
 from .identities import _partner, _phi, _psi
@@ -59,8 +63,7 @@ class Classification(str, Enum):
     UNEXPLAINED = "unexplained"
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     x: str
     y: str
     kind: Classification
@@ -84,21 +87,70 @@ class CollisionGroup:
 
 @dataclass
 class CollisionReport:
+    """The collision groups of one search and, unless ``classify`` is off,
+    the classification of their pairs.
+
+    The pairs are not stored: ``group_pairs`` classifies them one group at
+    a time and tallies them as it goes, and ``summary``, ``has_unexplained``
+    and ``w_search_bound`` read those tallies, classifying every group once
+    more only if no pass has finished yet.  ``classifications`` is the list
+    of every pair, built by one such pass when first read."""
+
     map_kind: str
     max_len: int
     groups: list[CollisionGroup]
-    classifications: list[PairClassification]
     words_searched: int
+    classify: bool = True
+    _tallies: Optional[tuple[Counter, int]] = field(default=None, init=False,
+                                                    repr=False, compare=False)
+
+    def group_pairs(self) -> Iterator[list[PairClassification]]:
+        """Yield each group's classified pairs (``_classify_group``), group
+        by group in report order; once the last group is yielded, keep the
+        count of each kind and the largest ``w_search_bound``."""
+        counts: Counter = Counter()
+        bound = 0
+        if self.classify:
+            for g in self.groups:
+                pairs = _classify_group(self.map_kind, g.words)
+                counts.update([c.kind for c in pairs])
+                # the last pair holds the group's longest word: the largest bound
+                bound = max(bound, pairs[-1].w_search_bound)
+                yield pairs
+        self._tallies = counts, bound
+
+    def _tally(self) -> tuple[Counter, int]:
+        if self._tallies is None:
+            for _ in self.group_pairs():
+                pass
+        return self._tallies
+
+    @cached_property
+    def classifications(self) -> list[PairClassification]:
+        return [c for pairs in self.group_pairs() for c in pairs]
+
+    @property
+    def pair_count(self) -> int:
+        """The number of pairs classified: every pair of every group, or
+        none when ``classify`` is off."""
+        if not self.classify:
+            return 0
+        return sum(len(g.words) * (len(g.words) - 1) // 2 for g in self.groups)
 
     @property
     def has_unexplained(self) -> bool:
-        return any(c.kind is Classification.UNEXPLAINED for c in self.classifications)
+        return self._tally()[0][Classification.UNEXPLAINED] > 0
+
+    @property
+    def w_search_bound(self) -> int:
+        """The longest w any pair's identity-2 search allowed (0 without pairs)."""
+        return self._tally()[1]
 
     def summary(self) -> dict:
-        counts = Counter(c.kind for c in self.classifications)
+        counts = self._tally()[0]
         return {"groups": len(self.groups),
                 "colliding_words": sum(len(g.words) for g in self.groups),
-                "pairs": len(self.classifications),
+                "pairs": self.pair_count,
                 "words_searched": self.words_searched,
                 **{kind.value: counts[kind] for kind in Classification}}
 
@@ -109,30 +161,32 @@ class CollisionReport:
         return None
 
     def to_json_dict(self) -> dict:
+        # the pairs first: the pass that lists them leaves the summary's tallies
+        pairs = [c.to_json_dict() for c in self.classifications]
         return {"map": self.map_kind, "max_len": self.max_len,
                 "summary": self.summary(),
                 "groups": [g.to_json_dict() for g in self.groups],
-                "classifications": [c.to_json_dict() for c in self.classifications],
+                "classifications": pairs,
                 "unexplained_present": self.has_unexplained}
 
 
 #: Peak resident bytes per searched word of ``qmarkoff collide``, classify and
-#: JSON output included: the rise in peak RSS from --max-len 13 to 14 over the
-#: 16,384 added words (Python 3.11, x86-64, JSON streamed to /dev/null;
-#: M 32.2 -> 46.2 MiB, mu 28.9 -> 38.8 MiB, about 900 and 630 bytes), rounded
-#: up past every slope measured from 12 to 16 (M 810-910, mu 600-870 bytes:
-#: the buckets' dict grows in steps).  M costs more because its groups, and
-#: so its pairs, are far larger.
-_BYTES_PER_WORD = {"M": 1000, "mu": 900}
+#: JSON output included: the rise in peak RSS from one --max-len to the next
+#: over the words it adds (Python 3.11, x86-64, JSON streamed to /dev/null),
+#: rounded up past every slope measured from 12 to 16 (M 260-330, mu
+#: 530-860 bytes: the buckets' dict grows in steps).  The pairs are classified
+#: and written one group at a time, so the peak is the scan's: mu costs more
+#: because its limbs, and so its packed entries, are wider.
+_BYTES_PER_WORD = {"M": 400, "mu": 900}
 
 
 class SearchBoundError(RuntimeError):
     """Raised when a search would exceed the configured safety bound.
 
     The memory estimate uses the measured figure of ``map_kind``; the default,
-    M, is the larger one."""
+    mu, is the larger one."""
 
-    def __init__(self, max_len: int, bound: int, map_kind: str = "M") -> None:
+    def __init__(self, max_len: int, bound: int, map_kind: str = "mu") -> None:
         per_word = _BYTES_PER_WORD[map_kind]
         if max_len <= 64:
             words = 2 ** (max_len + 1) - 1
@@ -291,12 +345,20 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     The route carries the first row (p, r) of the word's matrix as plain
     coefficient tuples, whose second entry is the 12-entry, and steps it
     through the M letters by shift and add (``qmatrix.first_row_step``; a mu
-    letter through its sigma image, since mu = M o sigma).
-    ``walk_words`` is pruned to the prefixes of the colliding words, so it
-    reaches every colliding word and costs one row step per distinct
-    nonempty prefix; a prefix is recognised by a binary search of the sorted
-    words, with no set of prefixes built."""
-    expected = {w: g.polynomial for g in groups for w in g.words}
+    letter through its sigma image, since mu = M o sigma).  The entry is
+    compared with the group polynomial's coefficient tuple from q^0 up,
+    built once per group: neither side has trailing zeros, so tuple
+    equality is polynomial equality.  ``walk_words`` is pruned to the
+    prefixes of the colliding words, so it reaches every colliding word and
+    costs one row step per distinct nonempty prefix; a prefix is recognised
+    by a binary search of the sorted words, with no set of prefixes built."""
+    expected = {}
+    for g in groups:
+        poly = g.polynomial
+        # the polynomial's coefficients from q^0 up, as r holds them; a
+        # negative exponent matches no r (None)
+        row = (0,) * poly.min_degree + poly.coefficients if poly.min_degree >= 0 else None
+        expected.update(dict.fromkeys(g.words, row))
     words = sorted(expected)
 
     def keep(prefix: str) -> bool:
@@ -308,7 +370,7 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     images = SIGMA if map_kind == "mu" else {"a": "a", "b": "b"}
     longest = max(map(len, words), default=0)
     for w, (_, r) in walk_words(images, ((1,), ()), longest, keep, first_row_step):
-        if w in expected and LaurentPoly(0, r) != expected[w]:
+        if w in expected and r != expected[w]:
             raise AssertionError(f"packed bucket mismatch for word {w!r}")
 
 
@@ -323,8 +385,9 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     prefixes of the colliding words, on the first row of the word's matrix
     stepped by shift and add: one row step per distinct nonempty prefix.  A
     word whose entry differs from its group's raises AssertionError naming
-    it.  Each group's pairs are then classified by one ``_classify_group``
-    pass, chains included.
+    it.  The report classifies the pairs when they are read, one
+    ``_classify_group`` pass per group, chains included
+    (``CollisionReport.group_pairs``); ``classify=False`` reports none.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.
@@ -353,12 +416,7 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
         groups.append(CollisionGroup(poly, tuple(ws)))
     groups.sort(key=lambda g: (len(g.words[0]), g.words[0]))
     _verify_groups(map_kind, groups)
-
-    classifications: list[PairClassification] = []
-    if classify:
-        for g in groups:
-            classifications.extend(_classify_group(map_kind, g.words))
-    return CollisionReport(map_kind, max_len, groups, classifications, words_searched)
+    return CollisionReport(map_kind, max_len, groups, words_searched, classify)
 
 
 @dataclass

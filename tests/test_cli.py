@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from qmarkoff.cli import _json_text, main
 from qmarkoff.cyclotomic import residue_relation_check
 from qmarkoff.laurent import LaurentPoly
 from qmarkoff.qmatrix import QMatrix
-from qmarkoff.search import collide
+from qmarkoff.search import Classification, collide
 
 
 def run_cli(capsys, *argv):
@@ -316,6 +318,81 @@ def test_collide_json_streams_the_json_writer_bytes(capsys, monkeypatch, map_kin
     assert '"classifications": []' in outputs[0]
     assert '"groups": []' in outputs[0]
     assert ('"coeffs": []' in outputs[12]) == (map_kind == "M")
+
+
+def _materialised_output(report, fmt):
+    """(exit code, stdout, stderr) of ``collide`` rendered from the list of
+    every pair of a fresh report, as the command wrote it when the report
+    held them all."""
+    pairs = report.classifications
+    unexplained = [c for c in pairs if c.kind is Classification.UNEXPLAINED]
+    if fmt == "json":
+        out = _json_text(report.to_json_dict()) + "\n"
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["group", "word", "length", "polynomial"])
+        writer.writerows([i, w, len(w), str(g.polynomial)]
+                         for i, g in enumerate(report.groups) for w in g.words)
+        out = buffer.getvalue()
+    else:
+        summary = report.summary()
+        lines = [f"{summary['groups']} groups, {summary['pairs']} pairs "
+                 f"over {summary['words_searched']} words"]
+        lines += ["  {" + ", ".join(w or "''" for w in g.words) + "}  " + str(g.polynomial)
+                  for g in report.groups]
+        lines += [f"  UNEXPLAINED: ({c.x or repr('')}, {c.y or repr('')})" for c in unexplained]
+        out = "".join(line + "\n" for line in lines)
+    if not unexplained:
+        return 0, out, ""
+    bound = max(c.w_search_bound for c in pairs)
+    return 3, out, f"unexplained pairs present (searched w up to length {bound})\n"
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+def test_collide_output_equals_the_materialised_report(capsys, monkeypatch, map_kind):
+    # the command classifies and writes one group at a time; every form must
+    # give what the list of all pairs gives, classifying each group once
+    calls = []
+
+    def counting_classify(*args):
+        calls.append(args)
+        return classify_group(*args)
+
+    classify_group = search._classify_group
+    monkeypatch.setattr(search, "_classify_group", counting_classify)
+    for max_len in range(13):
+        expected_report = collide(map_kind, max_len)
+        for fmt in ("json", "human", "csv"):
+            expected = _materialised_output(expected_report, fmt)
+            calls.clear()
+            code = main(["collide", "--map", map_kind, "--max-len", str(max_len),
+                         "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected, (max_len, fmt)
+            assert len(calls) == len(expected_report.groups), (max_len, fmt)
+    # empty lists still render as []
+    main(["collide", "--map", map_kind, "--max-len", "0"])
+    assert '"classifications": []' in capsys.readouterr().out
+
+
+def _traced_peak(argv):
+    """Peak bytes traced by tracemalloc while ``main(argv)`` runs, its
+    stdout written to the null device."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_collide_holds_one_group_of_pairs_at_a_time():
+    # held pairs would make classifying cost about twice the scan's memory
+    argv = ["collide", "--map", "M", "--max-len", "12"]
+    assert _traced_peak(argv) <= 1.6 * _traced_peak([*argv, "--no-classify"])
 
 
 json_strings = st.text() | st.sampled_from(

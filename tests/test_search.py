@@ -157,7 +157,7 @@ def test_safety_bound_refusal():
     assert "safety bound" in str(err.value)
     # the estimate uses the measured per-word figure of each map
     assert "roughly 28 MiB" in str(SearchBoundError(14, 13, "mu"))
-    assert "roughly 31 MiB" in str(SearchBoundError(14, 13, "M"))
+    assert "roughly 12 MiB" in str(SearchBoundError(14, 13, "M"))
     # raising the bound permits the same search
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
 
@@ -277,6 +277,26 @@ def test_classify_can_be_skipped():
     report = collide("mu", 6, classify=False)
     assert report.classifications == []
     assert report.groups
+
+
+@pytest.mark.parametrize("map_kind, max_len", [("M", 11), ("mu", 13)])
+def test_report_tallies_match_the_list_of_pairs(map_kind, max_len):
+    pairs = collide(map_kind, max_len).classifications
+    report = collide(map_kind, max_len)
+    first = next(report.group_pairs())  # an unfinished pass keeps no tallies
+    assert first == pairs[:len(first)]
+    summary = report.summary()
+    assert summary["pairs"] == report.pair_count == len(pairs)
+    for kind in Classification:
+        assert summary[kind.value] == sum(c.kind is kind for c in pairs), kind
+    assert report.has_unexplained == any(c.kind is Classification.UNEXPLAINED
+                                         for c in pairs)
+    assert report.w_search_bound == max(c.w_search_bound for c in pairs)
+    assert [c for group in report.group_pairs() for c in group] == pairs
+    # without classification the tallies are empty
+    bare = collide(map_kind, max_len, classify=False)
+    assert (bare.pair_count, bare.has_unexplained, bare.w_search_bound) == (0, False, 0)
+    assert list(bare.group_pairs()) == []
 
 
 def test_report_json_round_trip_polynomials():
