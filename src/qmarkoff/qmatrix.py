@@ -1,7 +1,7 @@
 """2x2 matrices over a commutative ring, the two word-to-matrix
-homomorphisms, the packed exact product engine behind them, the word
-walker shared by the searches, and the shift-and-add first-row step that
-the collision search's soundness check walks with.
+homomorphisms and the packed shift-and-add product engine behind them, the
+word walker shared by the searches, and the shift-and-add first-row step on
+coefficient tuples that the collision search's soundness check walks with.
 
 ``M_q`` sends a to the lower-triangular generator and b to the
 upper-triangular one; ``mu_q`` sends each letter to a fixed product of those
@@ -15,22 +15,27 @@ at most that entry's value at q = 1.  Take ``shift``, the bits per
 coefficient, as the bit length of the largest such value: every coefficient
 is then below 2^shift, so evaluation at q = 2^shift (``pack_poly``) is
 injective on those entries, and, being a ring homomorphism, it turns the
-whole word product into one product of integer matrices; ``unpack_poly``
-reads the coefficients back once at the end.  Intermediate packed products
-need no bound of their own: they are exact evaluations, not digit strings.
-A walk over all words up to a length takes ``shift`` from the bit length of
-``max_entry_at_one``, a bound on every such value.
+whole word product into a product of integer matrices; ``unpack_poly``
+reads the coefficients back once at the end.  ``M_q`` and ``mu_q`` make that
+product by shift and add alone: right multiplication by ``L_Q`` sends the
+entries (a, b, c, d) to ((a + b) << s, b, (c + d) << s, d) and by ``R_Q`` to
+(a << s, a + b, c << s, c + d), with s = ``shift``, and mu_q(w) =
+M_q(sigma(w)) steps through the M letters of the sigma image.  The same
+step with s = 0 is the exact product at q = 1, which sets ``shift``.
+Intermediate packed values need no bound of their own: they are exact
+evaluations, not digit strings.  A walk over all words up to a length takes
+``shift`` from the bit length of ``max_entry_at_one``, the largest q = 1
+entry of any such word (exact for both maps).
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, partial, reduce
-from types import MappingProxyType
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
-from .words import BINARY, SIGMA, apply_morphism, require_word
+from .words import BINARY, SIGMA, require_word
 
 
 class Mat2:
@@ -175,37 +180,54 @@ def unpack_poly(packed: int, shift: int) -> LaurentPoly:
     return LaurentPoly(0, coeffs)
 
 
-@lru_cache(maxsize=256)
-def packed_letters(map_kind: str, shift: int) -> Mapping[str, Mat2]:
+def packed_letters(map_kind: str, shift: int) -> dict[str, Mat2]:
     """The letter matrices of ``map_kind`` packed with ``shift`` bits per
-    coefficient (cached: packing is a quarter of a short word's product)."""
-    return MappingProxyType({ch: g.map(partial(pack_poly, shift=shift))
-                             for ch, g in LETTERS[map_kind].items()})
+    coefficient, for the walks of the searches."""
+    return {ch: g.map(partial(pack_poly, shift=shift)) for ch, g in LETTERS[map_kind].items()}
+
+
+#: ``str.translate`` table of sigma: a mu word to the M word of its image.
+_SIGMA_TABLE = str.maketrans(SIGMA)
+
+
+def _stepped_entries(w: str, shift: int) -> tuple[int, int, int, int]:
+    """The entries of M_q(w) at q = 2^shift, for a binary word w: the
+    identity stepped through the letters by shift and add."""
+    a, b, c, d = 1, 0, 0, 1
+    for ch in w:
+        if ch == "a":
+            a, c = (a + b) << shift, (c + d) << shift
+        else:
+            a, b, c, d = a << shift, a + b, c << shift, c + d
+    return a, b, c, d
 
 
 def max_entry_at_one(map_kind: str, max_len: int) -> int:
-    """The largest entry of U_0 = I, U_1, ..., U_max_len, where U_n is the
-    entrywise max over letters g of U_(n-1) g at q = 1.  The letter matrices
-    are nonnegative, so it bounds every q = 1 entry, and so every coefficient,
-    of every word of length <= max_len.  It is exact for mu, where U_n is the
-    q = 1 matrix of b^n, since mu(a) <= mu(b) entrywise at q = 1."""
-    letters = LETTERS_AT_ONE[map_kind].values()
-    u, bound = Mat2.identity(1, 0), 1
-    for _ in range(max_len):
-        u = Mat2(*map(max, *((u * g).entries() for g in letters)))
-        bound = max(bound, *u.entries())
-    return bound
+    """The largest q = 1 entry of any word of length <= max_len.  The letter
+    matrices are nonnegative, so it bounds every coefficient of those words.
+
+    It is exact for both maps.  For M, each row (x, y) of a q = 1 product
+    steps to (x + y, y) under a and to (x, x + y) under b, so by induction
+    on the length n its (larger, smaller) entries are at most (F(n+1), F(n)),
+    Fibonacci numbers; the second row of abab... of length n attains F(n+1).
+    For mu, I <= mu(a) <= mu(b) entrywise at q = 1, so b^max_len has the
+    largest entries.
+    """
+    if map_kind == "M":
+        big, small = 1, 0
+        for _ in range(max_len):
+            big, small = big + small, big
+        return big
+    return max(_stepped_entries(("b" * max_len).translate(_SIGMA_TABLE), 0))
 
 
 def _word_product(map_kind: str, w: str) -> Mat2:
     require_word(w, BINARY)
-    int_one = Mat2.identity(1, 0)
-    at_one = reduce(operator.mul, (LETTERS_AT_ONE[map_kind][ch] for ch in w), int_one)
-    # no coefficient of an entry exceeds the entry's value at q = 1
-    shift = max(max(at_one.entries()).bit_length(), 1)
-    letters = packed_letters(map_kind, shift)
-    packed = reduce(operator.mul, (letters[ch] for ch in w), int_one)
-    return packed.map(partial(unpack_poly, shift=shift))
+    if map_kind == "mu":
+        w = w.translate(_SIGMA_TABLE)
+    # no coefficient of an entry exceeds the entry's value at q = 1 (shift 0)
+    shift = max(max(_stepped_entries(w, 0)).bit_length(), 1)
+    return Mat2(*(unpack_poly(x, shift) for x in _stepped_entries(w, shift)))
 
 
 def M_q(w: str) -> Mat2:
@@ -263,15 +285,6 @@ def first_row_step(row: tuple[tuple[int, ...], tuple[int, ...]],
         else:
             p, r = (0,) + p, s
     return p, r
-
-
-def mu_q_via_sigma(w: str) -> Mat2:
-    """Alternative route to mu_q(w) through M_q and the morphism sigma.
-
-    Kept as an independent path so tests can cross-check the base matrices.
-    """
-    require_word(w, BINARY)
-    return M_q(apply_morphism(SIGMA, w))
 
 
 def char_poly_scaled_a() -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:

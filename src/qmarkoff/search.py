@@ -6,10 +6,11 @@ The enumeration runs on the packed product engine of ``qmatrix``: each
 letter matrix is packed into integers (one limb of ``shift`` bits per
 coefficient, ``qmatrix.pack_poly``), so a word product is a product of
 integer matrices.  Both letter maps have entries in N[q], and the limb width
-is the bit length of ``qmatrix.max_entry_at_one``, a bound on the q = 1
-entries of all words up to max_len, which bounds every coefficient: packing
-is injective.  Groups are keyed by the packed upper-right entry, unpacked
-once per group, and re-verified afterwards on an independent route: every
+is the bit length of ``qmatrix.max_entry_at_one``, the largest q = 1 entry of
+any word up to max_len (exact for both maps: F(max_len + 1) for M, an entry
+of b^max_len for mu), which bounds every coefficient: packing is injective.
+Groups are keyed by the packed upper-right entry, unpacked once per group,
+and re-verified afterwards on an independent route: every
 colliding word's 12-entry is recomputed by the same ``walk_words``, pruned
 to the prefixes of the colliding words, carrying only the first row of the
 word's matrix, which holds the 12-entry, as plain coefficient tuples.  Each

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarkoff import identities
 from qmarkoff.identities import (FAMILIES, TAU, alternating_words, delta, eta,
                                  eta_prime, identity2_M_words, partner, phi,
                                  psi, verify_family, verify_identity1_M,
@@ -219,3 +220,26 @@ def test_verify_family_returns_both_words_and_the_verdict():
     assert equal and M_q(x).m12 == M_q(y).m12
     with pytest.raises(KeyError):
         verify_family("delta", "")
+
+
+def test_verify_family_and_delta_resolve_their_products_through_the_module(monkeypatch):
+    # the benchmark's trace wraps identities.M_q/mu_q; every product must pass there
+    seen = []
+
+    def counting(name, word_map):
+        def wrapped(w):
+            seen.append((name, w))
+            return word_map(w)
+        return wrapped
+
+    monkeypatch.setattr(identities, "M_q", counting("M", M_q))
+    monkeypatch.setattr(identities, "mu_q", counting("mu", mu_q))
+    instances = {"1M": ("ab", 1, 0, 2), "1mu": ("aab",), "2M": ("ab", "ca", 1, 0, 2),
+                 "2mu": ("ab", "cd")}
+    for family, args in instances.items():
+        x, y, equal = verify_family(family, *args)
+        assert equal
+        assert seen == [(FAMILIES[family][0], x), (FAMILIES[family][0], y)]
+        seen.clear()
+    assert delta("ab", "ac").is_zero()
+    assert [name for name, _ in seen] == ["M", "M"]

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmarkoff import qmatrix
 from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
                               first_row_step, max_entry_at_one, mu_q,
-                              mu_q_via_sigma, pack_poly, unpack_poly, walk_words)
+                              pack_poly, unpack_poly, walk_words)
 from qmarkoff.words import SIGMA, bar, iter_words
 
 from oracle import letter_product_at, matrix_at
@@ -69,9 +70,44 @@ def test_mu_entry_values_at_one():
     assert mu_q("abb").m12.eval_at_one() == 29
 
 
-@given(binary_words)
-def test_mu_q_agrees_with_sigma_route(w):
-    assert mu_q(w) == mu_q_via_sigma(w)
+def _laurent_product(kind, w):
+    """The word's product over Z[q, q^-1], one ``Mat2`` product per letter."""
+    return reduce(operator.mul, (LETTERS[kind][ch] for ch in w), Mat2.identity())
+
+
+@pytest.mark.parametrize("kind, word_map", [("M", M_q), ("mu", mu_q)])
+def test_maps_match_the_laurent_product_of_every_word_up_to_12(kind, word_map):
+    # walk_words yields the same left-to-right Laurent product, one product per word
+    walked = list(walk_words(LETTERS[kind], Mat2.identity(), 12))
+    assert len(walked) == 2 ** 13 - 1
+    for w, m in walked:
+        assert word_map(w) == m, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="ab", max_size=80))
+@example("ab" * 40)
+@example("b" * 80)
+def test_maps_match_the_laurent_product_of_long_words(w):
+    assert M_q(w) == _laurent_product("M", w)
+    assert mu_q(w) == _laurent_product("mu", w)
+
+
+@pytest.mark.parametrize("word_map", [M_q, mu_q])
+def test_word_maps_make_no_matrix_product(monkeypatch, word_map):
+    calls = []
+    mul = Mat2.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    assert Mat2.identity() * Mat2.identity() == Mat2.identity() and calls == [1]
+    calls.clear()
+    for w in ("ab" * 20, "a" * 40, "b" * 40, "aabba" * 8):
+        word_map(w)
+    assert calls == []
 
 
 @given(binary_words, binary_words)
@@ -227,14 +263,39 @@ def test_packed_maps_match_laurent_and_sympy_products(sympy_route, w):
         assert M_q(w).m12.is_zero()
 
 
+@pytest.mark.parametrize("kind, word_map", [("M", M_q), ("mu", mu_q)])
+def test_limb_width_is_the_bit_length_of_the_largest_entry_at_one(monkeypatch, kind,
+                                                                  word_map):
+    # the proven coefficient bound; on these words a limb one bit narrower
+    # would unpack correctly too, so only the width itself shows the bound held
+    widths = []
+
+    def recording_unpack(packed, shift):
+        widths.append(shift)
+        return unpack_poly(packed, shift)
+
+    monkeypatch.setattr(qmatrix, "unpack_poly", recording_unpack)
+    for w in [*iter_words("ab", 6), "ab" * 20, "b" * 30]:
+        widths.clear()
+        largest = max(_laurent_product(kind, w).map(LaurentPoly.eval_at_one).entries())
+        word_map(w)
+        assert widths == [max(largest.bit_length(), 1)] * 4, w
+
+
 @pytest.mark.parametrize("kind", ["M", "mu"])
 def test_max_entry_at_one_bounds_every_word(kind):
     bounds = [max_entry_at_one(kind, n) for n in range(13)]
     at_one = {ch: g.map(LaurentPoly.eval_at_one) for ch, g in LETTERS[kind].items()}
+    largest = [0] * 13
     for w, m in walk_words(at_one, Mat2.identity(1, 0), 12):
-        assert max(m.entries()) <= bounds[len(w)], w
-    if kind == "mu":
-        # exact for mu: the bound is attained by b^n
+        largest[len(w)] = max(largest[len(w)], *m.entries())
+    # exact: the largest q = 1 entry over every word of length <= n
+    assert bounds == [max(largest[:n + 1]) for n in range(13)]
+    if kind == "M":
+        # Fibonacci numbers F(n + 1)
+        assert bounds == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]
+    else:
+        # attained by b^n
         assert bounds == [max(max(row) for row in mu_q("b" * n).at_one())
                           for n in range(13)]
 
