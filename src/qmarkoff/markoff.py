@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Optional
 
 from .qmatrix import LETTERS_AT_ONE
 from .words import christoffel_fold
@@ -45,46 +46,44 @@ ROOT = MarkoffTriple(1, 1, 1)
 triple_children = MarkoffTriple.children
 
 
+def _walk(depth: int, bound: Optional[int] = None) -> list[int]:
+    """Sorted distinct components of every triple within ``depth`` levels of
+    the root and, given ``bound``, whose middle component is <= bound.
+
+    One depth-first walk holding O(depth) triples and no set of seen ones.
+    A triple with x == z, which only (1, 1, 1) and (1, 2, 1) are, has two
+    mirror-image children with mirror-image subtrees and the same
+    components, so only its first child is walked; past those two the tree
+    has no repeats.  The middle component strictly increases along each
+    branch, so pruning a child whose middle exceeds the bound keeps every
+    triple whose maximum is within it.
+    """
+    nums: set[int] = set()
+    stack = [(ROOT, depth)]
+    while stack:
+        t, left = stack.pop()
+        nums.update(t.components())
+        if left:
+            children = t.children()
+            for child in children[:1] if t.x == t.z else children:
+                if bound is None or child.y <= bound:
+                    stack.append((child, left - 1))
+    return sorted(nums)
+
+
 def markoff_numbers(depth: int) -> list[int]:
     """Sorted distinct components of every triple within ``depth`` levels of the root."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    nums: set[int] = set()
-    level = [ROOT]
-    seen = {ROOT}
-    nums.update(ROOT.components())
-    for _ in range(depth):
-        nxt = []
-        for t in level:
-            for child in t.children():
-                nums.update(child.components())
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        level = nxt
-    return sorted(nums)
+    return _walk(depth)
 
 
 def markoff_numbers_up_to(bound: int) -> list[int]:
-    """Every Markoff number <= bound.
-
-    The middle component strictly increases along each branch, so pruning
-    children whose middle exceeds the bound still visits every triple whose
-    maximum is within it.
-    """
+    """Every Markoff number <= bound."""
     if bound < 1:
         return []
-    nums: set[int] = set()
-    stack = [ROOT]
-    seen = {ROOT}
-    while stack:
-        t = stack.pop()
-        nums.update(c for c in t.components() if c <= bound)
-        for child in t.children():
-            if child.y <= bound and child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return sorted(nums)
+    # the middle grows from 1 by at least 1 a level: depth ``bound`` prunes nothing
+    return [n for n in _walk(bound, bound) if n <= bound]
 
 
 def christoffel_entry_values(max_len: int) -> dict[str, int]:

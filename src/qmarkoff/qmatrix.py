@@ -13,25 +13,27 @@ Packed products (Kronecker substitution).  Every letter matrix has entries
 in N[q], so every word product does too, and each coefficient of an entry is
 at most that entry's value at q = 1.  Take ``shift``, the bits per
 coefficient, as the bit length of the largest such value: every coefficient
-is then below 2^shift, so evaluation at q = 2^shift (``pack_poly``) is
-injective on those entries, and, being a ring homomorphism, it turns the
-whole word product into a product of integer matrices; ``unpack_poly``
-reads the coefficients back once at the end.  ``M_q`` and ``mu_q`` make that
-product by shift and add alone: right multiplication by ``L_Q`` sends the
-entries (a, b, c, d) to ((a + b) << s, b, (c + d) << s, d) and by ``R_Q`` to
-(a << s, a + b, c << s, c + d), with s = ``shift``, and mu_q(w) =
-M_q(sigma(w)) steps through the M letters of the sigma image.  The same
-step with s = 0 is the exact product at q = 1, which sets ``shift``.
-Intermediate packed values need no bound of their own: they are exact
-evaluations, not digit strings.  A walk over all words up to a length takes
-``shift`` from the bit length of ``max_entry_at_one``, the largest q = 1
-entry of any such word (exact for both maps).
+is then below 2^shift, so evaluation at q = 2^shift is injective on those
+entries, and ``unpack_poly`` reads the coefficients back.  One routine,
+``packed_step``, makes every packed product, by shift and add alone: right
+multiplication by ``L_Q`` sends the entries (a, b, c, d) to
+((a + b) << s, b, (c + d) << s, d) and by ``R_Q`` to
+(a << s, a + b, c << s, c + d), with s = ``shift``.  A letter of either map
+stands for a word of M letters (``IMAGES``: itself under M, its sigma image
+under mu, since mu_q(w) = M_q(sigma(w))), so a word's packed product is the
+identity stepped through the image of each of its letters.  ``M_q`` and
+``mu_q`` step the whole image once at s = 0, the exact product at q = 1,
+which sets ``shift``, and once at ``shift``; the collision scan steps each
+word from its parent in ``walk_words``, and the Christoffel fold starts from
+the two stepped letters.  Intermediate packed values need no bound of their
+own: they are exact evaluations, not digit strings.  A walk over all words
+up to a length takes ``shift`` from the bit length of ``max_entry_at_one``,
+the largest q = 1 entry of any such word (exact for both maps).
 """
 
 from __future__ import annotations
 
 import operator
-from functools import partial
 from typing import Callable, Iterator, Mapping, Optional
 
 from .laurent import ONE, Q, ZERO, LaurentPoly
@@ -159,47 +161,46 @@ LETTERS_AT_ONE = {kind: {ch: g.map(LaurentPoly.eval_at_one) for ch, g in letters
                   for kind, letters in LETTERS.items()}
 
 
-def pack_poly(p: LaurentPoly, shift: int) -> int:
-    """p evaluated at q = 2^shift; injective on polynomials with nonnegative
-    exponents and coefficients below 2^shift."""
-    out = 0
-    for e, c in p.terms():
-        if e < 0 or c < 0:
-            raise ValueError("packing requires nonnegative exponents and coefficients")
-        out |= c << (shift * e)
-    return out
+#: The M letters each letter stands for: itself under M, its sigma image
+#: under mu, since mu_q(w) = M_q(sigma(w)).
+IMAGES = {"M": {"a": "a", "b": "b"}, "mu": SIGMA}
+
+
+def packed_step(entries: tuple[int, int, int, int], image: str,
+                shift: int) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of a matrix over N[q] at q = 2^shift, times
+    ``M_q(image)``: stepped through the M letters of ``image`` by shift and
+    add.  With shift 0 it is the exact product at q = 1."""
+    a, b, c, d = entries
+    for ch in image:
+        if ch == "a":
+            a, c = (a + b) << shift, (c + d) << shift
+        else:
+            a, b, c, d = a << shift, a + b, c << shift, c + d
+    return a, b, c, d
 
 
 def unpack_poly(packed: int, shift: int) -> LaurentPoly:
-    """The inverse of ``pack_poly`` for coefficients below 2^shift."""
+    """The polynomial p with ``packed`` = p(2^shift), for p in N[q] with
+    coefficients below 2^shift.
+
+    The loop reads one limb per step by shifting the whole remaining
+    integer, so an entry of more than 64 limbs is first halved, recursively:
+    the reading stays O(n log n) in the entry's limbs, and a short entry
+    pays one comparison."""
+    if packed >> (shift << 6):
+        half = packed.bit_length() // shift >> 1  # in limbs, at least 32
+        low = unpack_poly(packed & ((1 << half * shift) - 1), shift)
+        high = unpack_poly(packed >> half * shift, shift)
+        coeffs = (0,) * low.min_degree + low.coefficients
+        return LaurentPoly(0, coeffs + (0,) * (half - len(coeffs) + high.min_degree)
+                           + high.coefficients)
     mask = (1 << shift) - 1
     coeffs = []
     while packed:
         coeffs.append(packed & mask)
         packed >>= shift
     return LaurentPoly(0, coeffs)
-
-
-def packed_letters(map_kind: str, shift: int) -> dict[str, Mat2]:
-    """The letter matrices of ``map_kind`` packed with ``shift`` bits per
-    coefficient, for the walks of the searches."""
-    return {ch: g.map(partial(pack_poly, shift=shift)) for ch, g in LETTERS[map_kind].items()}
-
-
-#: ``str.translate`` table of sigma: a mu word to the M word of its image.
-_SIGMA_TABLE = str.maketrans(SIGMA)
-
-
-def _stepped_entries(w: str, shift: int) -> tuple[int, int, int, int]:
-    """The entries of M_q(w) at q = 2^shift, for a binary word w: the
-    identity stepped through the letters by shift and add."""
-    a, b, c, d = 1, 0, 0, 1
-    for ch in w:
-        if ch == "a":
-            a, c = (a + b) << shift, (c + d) << shift
-        else:
-            a, b, c, d = a << shift, a + b, c << shift, c + d
-    return a, b, c, d
 
 
 def max_entry_at_one(map_kind: str, max_len: int) -> int:
@@ -218,16 +219,15 @@ def max_entry_at_one(map_kind: str, max_len: int) -> int:
         for _ in range(max_len):
             big, small = big + small, big
         return big
-    return max(_stepped_entries(("b" * max_len).translate(_SIGMA_TABLE), 0))
+    return max(packed_step((1, 0, 0, 1), IMAGES["mu"]["b"] * max_len, 0))
 
 
 def _word_product(map_kind: str, w: str) -> Mat2:
     require_word(w, BINARY)
-    if map_kind == "mu":
-        w = w.translate(_SIGMA_TABLE)
+    image = w.translate(str.maketrans(IMAGES[map_kind]))
     # no coefficient of an entry exceeds the entry's value at q = 1 (shift 0)
-    shift = max(max(_stepped_entries(w, 0)).bit_length(), 1)
-    return Mat2(*(unpack_poly(x, shift) for x in _stepped_entries(w, shift)))
+    shift = max(max(packed_step((1, 0, 0, 1), image, 0)).bit_length(), 1)
+    return Mat2(*(unpack_poly(x, shift) for x in packed_step((1, 0, 0, 1), image, shift)))
 
 
 def M_q(w: str) -> Mat2:

@@ -3,12 +3,13 @@ classification of colliding pairs against the identity families, and the
 Christoffel injectivity experiment.
 
 The enumeration runs on the packed product engine of ``qmatrix``: each
-letter matrix is packed into integers (one limb of ``shift`` bits per
-coefficient, ``qmatrix.pack_poly``), so a word product is a product of
-integer matrices.  Both letter maps have entries in N[q], and the limb width
-is the bit length of ``qmatrix.max_entry_at_one``, the largest q = 1 entry of
-any word up to max_len (exact for both maps: F(max_len + 1) for M, an entry
-of b^max_len for mu), which bounds every coefficient: packing is injective.
+word's four entries at q = 2^shift (one limb of ``shift`` bits per
+coefficient) are its parent's stepped through the M letters its last letter
+stands for, by shift and add (``qmatrix.packed_step``), with no matrix
+product.  Both letter maps have entries in N[q], and the limb width is the
+bit length of ``qmatrix.max_entry_at_one``, the largest q = 1 entry of any
+word up to max_len (exact for both maps: F(max_len + 1) for M, an entry of
+b^max_len for mu), which bounds every coefficient: packing is injective.
 Groups are keyed by the packed upper-right entry, unpacked once per group,
 and re-verified afterwards on an independent route: every
 colliding word's 12-entry is recomputed by the same ``walk_words``, pruned
@@ -32,7 +33,7 @@ classifies one group at a time and tallies what the summary needs, so a
 census's memory grows with its words, not with its pairs.
 
 The scan runs in the calling process, whatever ``--jobs`` says: it costs one
-integer product per word, and worker processes would have to pickle every
+packed step per word, and worker processes would have to pickle every
 word's bucket back to the parent, whose unpickling and merging measured
 slower than the serial scan at every length the default safety bound allows.
 """
@@ -44,16 +45,16 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Optional
 
 from .cyclotomic import eval_cyclotomic
 from .identities import _partner, _phi, _psi
 from .laurent import LaurentPoly
-from .qmatrix import (LETTERS, M_q, Mat2, first_row_step, max_entry_at_one, mu_q,
-                      packed_letters, unpack_poly, walk_words)
-from .words import (BINARY, SIGMA, _bar, apply_morphism, christoffel_fold,
-                    letter_counts, mirror, require_word)
+from .qmatrix import (IMAGES, M_q, Mat2, first_row_step, max_entry_at_one, mu_q,
+                      packed_step, unpack_poly, walk_words)
+from .words import (BINARY, _bar, apply_morphism, christoffel_fold, letter_counts,
+                    mirror, require_word)
 
 
 class Classification(str, Enum):
@@ -217,7 +218,7 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
     require_word(y, BINARY)
     if x == y:
         raise ValueError("pairs are unordered distinct words")
-    if map_kind not in LETTERS:
+    if map_kind not in IMAGES:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if require_collision:
         fn = M_q if map_kind == "M" else mu_q
@@ -367,10 +368,8 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
         i = bisect_left(words, prefix)
         return i < len(words) and words[i].startswith(prefix)
 
-    # the M letters each letter stands for
-    images = SIGMA if map_kind == "mu" else {"a": "a", "b": "b"}
     longest = max(map(len, words), default=0)
-    for w, (_, r) in walk_words(images, ((1,), ()), longest, keep, first_row_step):
+    for w, (_, r) in walk_words(IMAGES[map_kind], ((1,), ()), longest, keep, first_row_step):
         if w in expected and r != expected[w]:
             raise AssertionError(f"packed bucket mismatch for word {w!r}")
 
@@ -380,9 +379,10 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     """All maximal groups of words of length <= max_len sharing their 12-entry.
 
     The scan is one in-process ``walk_words`` that buckets every word by its
-    packed 12-entry (one integer matrix product per word, limbs of the bit
-    length of ``max_entry_at_one``).  Every word of a group of two or more is
-    then checked by ``_verify_groups``, a second ``walk_words`` pruned to the
+    packed 12-entry: one ``packed_step`` per word from its parent's entries,
+    by shift and add, with limbs of the bit length of ``max_entry_at_one``
+    and no matrix product.  Every word of a group of two or more is then
+    checked by ``_verify_groups``, a second ``walk_words`` pruned to the
     prefixes of the colliding words, on the first row of the word's matrix
     stepped by shift and add: one row step per distinct nonempty prefix.  A
     word whose entry differs from its group's raises AssertionError naming
@@ -393,7 +393,7 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.
     """
-    if map_kind not in LETTERS:
+    if map_kind not in IMAGES:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -401,8 +401,9 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
         raise SearchBoundError(max_len, safety_bound, map_kind)
     shift = max(max_entry_at_one(map_kind, max_len).bit_length(), 1)
     buckets: dict[int, list[str]] = {}
-    for w, m in walk_words(packed_letters(map_kind, shift), Mat2.identity(1, 0), max_len):
-        buckets.setdefault(m.m12, []).append(w)
+    step = partial(packed_step, shift=shift)
+    for w, m in walk_words(IMAGES[map_kind], (1, 0, 0, 1), max_len, step=step):
+        buckets.setdefault(m[1], []).append(w)
     words_searched = sum(len(ws) for ws in buckets.values())
 
     groups = []
@@ -449,14 +450,16 @@ def christoffel_injectivity(max_len: int) -> InjectivityReport:
     check that the polynomials, their zeta_6 images, and the letter-count
     pairs are pairwise distinct.
 
-    Packed matrices are built along the Christoffel tree (one multiplication
-    per node, reusing both factors), so the cost is linear in the word count.
-    Packing is injective, so the packed entries are compared directly.
+    The two letters are packed by ``packed_step``, and packed matrices are
+    built along the Christoffel tree (one integer matrix product per node,
+    mu(uv) = mu(u) mu(v), reusing both factors), so the cost is linear in
+    the word count.  Packing is injective, so the packed entries are
+    compared directly.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     shift = max(max_entry_at_one("mu", max_len).bit_length(), 1)
-    a, b = (packed_letters("mu", shift)[ch] for ch in "ab")
+    a, b = (Mat2(*packed_step((1, 0, 0, 1), IMAGES["mu"][ch], shift)) for ch in "ab")
     packed = {"a": a.m12, "b": b.m12}
     for u, v, mat in christoffel_fold(max_len, a, b, operator.mul):
         packed[u + v] = mat.m12

@@ -150,3 +150,24 @@ def classify_group(map_kind, words):
             parent[find(x)] = find(y)
     return [(x, y, "chain", None, b) if kind == "unexplained" and find(x) == find(y)
             else (x, y, kind, witness, b) for x, y, kind, witness, b in pairs]
+
+
+def markoff_numbers(depth=None, bound=None):
+    """Components of the Markoff triples (x, y, z), y maximal, breadth-first
+    from (1, 1, 1) with a set of seen triples: every triple within ``depth``
+    levels or, given ``bound``, every triple whose middle is <= bound, and
+    of those only the components <= bound."""
+    level, seen, nums = [(1, 1, 1)], {(1, 1, 1)}, {1}
+    while level and (depth is None or depth > 0):
+        depth = None if depth is None else depth - 1
+        nxt = []
+        for x, y, z in level:
+            for child in ((x, 3 * x * y - z, y), (y, 3 * y * z - x, z)):
+                if bound is not None and child[1] > bound:
+                    continue
+                nums.update(child)
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        level = nxt
+    return sorted(n for n in nums if bound is None or n <= bound)

@@ -1,5 +1,6 @@
 import pytest
 
+import oracle
 from qmarkoff.markoff import (MarkoffTriple, christoffel_entry_values,
                               markoff_numbers, markoff_numbers_up_to,
                               triple_children)
@@ -72,3 +73,13 @@ def test_depth_enumeration_agrees_with_bound_enumeration():
     by_depth = set(markoff_numbers(10))
     upto = set(markoff_numbers_up_to(1000))
     assert upto <= by_depth
+
+
+def test_depth_walk_matches_a_breadth_first_walk_with_seen_triples():
+    for depth in range(13):
+        assert markoff_numbers(depth) == oracle.markoff_numbers(depth), depth
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 100, 10 ** 6, 10 ** 12, 10 ** 30])
+def test_bound_walk_matches_a_breadth_first_walk_with_seen_triples(bound):
+    assert markoff_numbers_up_to(bound) == oracle.markoff_numbers(bound=bound)

@@ -11,7 +11,7 @@ from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
 from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
                               S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
                               first_row_step, max_entry_at_one, mu_q,
-                              pack_poly, unpack_poly, walk_words)
+                              packed_step, unpack_poly, walk_words)
 from qmarkoff.words import SIGMA, bar, iter_words
 
 from oracle import letter_product_at, matrix_at
@@ -268,11 +268,17 @@ def test_limb_width_is_the_bit_length_of_the_largest_entry_at_one(monkeypatch, k
                                                                   word_map):
     # the proven coefficient bound; on these words a limb one bit narrower
     # would unpack correctly too, so only the width itself shows the bound held
-    widths = []
+    widths, nested = [], []
 
     def recording_unpack(packed, shift):
-        widths.append(shift)
-        return unpack_poly(packed, shift)
+        # an entry of more than 64 limbs unpacks its halves by calls of its own
+        if not nested:
+            widths.append(shift)
+        nested.append(shift)
+        try:
+            return unpack_poly(packed, shift)
+        finally:
+            nested.pop()
 
     monkeypatch.setattr(qmatrix, "unpack_poly", recording_unpack)
     for w in [*iter_words("ab", 6), "ab" * 20, "b" * 30]:
@@ -300,14 +306,32 @@ def test_max_entry_at_one_bounds_every_word(kind):
                           for n in range(13)]
 
 
-def test_pack_round_trip():
-    p = LaurentPoly(0, (3, 0, 7, 1))
-    assert unpack_poly(pack_poly(p, 3), 3) == p
-    assert unpack_poly(pack_poly(ZERO, 1), 1) == ZERO
-    with pytest.raises(ValueError):
-        pack_poly(LaurentPoly.q(-1), 4)
-    with pytest.raises(ValueError):
-        pack_poly(LaurentPoly.from_int(-2), 4)
+def _pack(p, shift):
+    """p at q = 2^shift, written here rather than taken from the package."""
+    return sum(c << shift * e for e, c in p.terms())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=80),
+       st.lists(st.integers(min_value=0, max_value=4095), max_size=300))
+@example(3, 0, [3, 0, 7, 1])
+@example(1, 0, [])
+@example(2, 0, [1] + [0] * 200 + [3])  # zeros on both sides of every halving cut
+@example(5, 64, [1])  # a lone limb past the first 64
+def test_pack_round_trip(shift, min_degree, coeffs):
+    p = LaurentPoly(min_degree, [c % (1 << shift) for c in coeffs])
+    assert unpack_poly(_pack(p, shift), shift) == p
+
+
+def test_unpack_of_a_long_entry_matches_the_first_row_route():
+    # (aab)^150 has a 12-entry of more than 1,000 limbs, read by halving
+    image = ("aab" * 150).translate(str.maketrans(SIGMA))
+    shift = max(packed_step((1, 0, 0, 1), image, 0)).bit_length()
+    a, b, _, _ = packed_step((1, 0, 0, 1), image, shift)
+    assert b.bit_length() > 1000 * shift
+    p, r = first_row_step(((1,), ()), image)
+    assert unpack_poly(a, shift) == LaurentPoly(0, p)
+    assert unpack_poly(b, shift) == LaurentPoly(0, r)
 
 
 @pytest.mark.parametrize("kind", ["M", "mu"])

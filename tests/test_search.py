@@ -10,7 +10,7 @@ from qmarkoff import search
 from qmarkoff.cli import main
 from qmarkoff.identities import FAMILIES
 from qmarkoff.markoff import markoff_numbers_up_to
-from qmarkoff.qmatrix import M_q, mu_q
+from qmarkoff.qmatrix import LETTERS, M_q, Mat2, mu_q, walk_words
 from qmarkoff.search import (Classification, SearchBoundError,
                              christoffel_injectivity, classify_pair, collide)
 from qmarkoff.words import christoffel_words, letter_counts
@@ -160,6 +160,38 @@ def test_safety_bound_refusal():
     assert "roughly 12 MiB" in str(SearchBoundError(14, 13, "M"))
     # raising the bound permits the same search
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+def test_scan_groups_match_the_laurent_walk(map_kind):
+    # the groups formed by the exact 12-entry of every word, one Laurent
+    # product per word, in collide's order
+    by_entry = {}
+    for w, m in walk_words(LETTERS[map_kind], Mat2.identity(), 10):
+        by_entry.setdefault(m.m12, []).append(w)
+    expected = sorted(((p, tuple(sorted(ws, key=lambda w: (len(w), w))))
+                       for p, ws in by_entry.items() if len(ws) > 1),
+                      key=lambda g: (len(g[1][0]), g[1][0]))
+    report = collide(map_kind, 10, classify=False)
+    assert [(g.polynomial, g.words) for g in report.groups] == expected
+    assert report.words_searched == 2 ** 11 - 1
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+def test_collide_makes_no_matrix_product(monkeypatch, map_kind):
+    calls = []
+    mul = Mat2.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting_mul)
+    assert Mat2.identity() * Mat2.identity() == Mat2.identity() and calls == [1]
+    calls.clear()
+    report = collide(map_kind, 10)
+    report.summary()  # every group classified
+    assert report.groups and calls == []
 
 
 def _plus_one(poly):
