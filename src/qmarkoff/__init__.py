@@ -22,7 +22,7 @@ from .laurent import LaurentPoly
 from .markoff import (MarkoffTriple, christoffel_entry_values, markoff_numbers,
                       markoff_numbers_up_to, triple_children)
 from .qmatrix import (L_Q, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q, S_MAT, M_q, Mat2,
-                      QMatrix, char_poly_scaled_a, mu_q, walk_words)
+                      QMatrix, char_poly_scaled_a, m12_equal, mu_q, walk_words)
 from .search import (Classification, CollisionGroup, CollisionReport,
                      InjectivityReport, PairClassification, SearchBoundError,
                      christoffel_injectivity, classify_pair, collide)
@@ -35,7 +35,7 @@ __all__ = [
     "BINARY", "EXTENDED", "SIGMA", "TAU",
     "LaurentPoly", "Mat2", "QMatrix", "CycInt", "walk_words",
     "L_Q", "R_Q", "Q_Q", "Q_Q_INV", "S_MAT", "MU_A", "MU_B",
-    "M_q", "mu_q", "char_poly_scaled_a",
+    "M_q", "mu_q", "m12_equal", "char_poly_scaled_a",
     "mirror", "bar", "is_palindrome", "apply_morphism", "letter_counts",
     "christoffel_words", "christoffel_tree", "christoffel_fold",
     "stern_brocot_fraction", "iter_words",

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .laurent import LaurentPoly
-from .qmatrix import M_q, mu_q
+from .laurent import ZERO, LaurentPoly
+# mu_q is not called here: it stays importable as identities.mu_q, which
+# perfbench/traced.py hooks
+from .qmatrix import M_q, m12_equal, mu_q
 from .words import (BINARY, EXTENDED, _bar, apply_morphism, bar, mirror,
                     require_word)
 
@@ -113,8 +115,8 @@ def identity2_mu_words(w: str, v: str) -> tuple[str, str]:
 
 
 #: Identity family -> (word map name, word-pair function, the function's
-#: parameters after w).  The map name is resolved through this module's
-#: ``M_q``/``mu_q`` at call time.
+#: parameters after w).  ``verify_family`` passes the map name to
+#: ``qmatrix.m12_equal``.
 FAMILIES = {
     "1M": ("M", identity1_M_words, ("k", "m", "n")),
     "1mu": ("mu", identity1_mu_words, ()),
@@ -125,11 +127,11 @@ FAMILIES = {
 
 def verify_family(family: str, w: str, *params) -> tuple[str, str, bool]:
     """The two words of one instance of ``family`` and whether they share
-    their 12-entry under the family's word map."""
+    their 12-entry under the family's word map, compared as packed integers
+    by ``qmatrix.m12_equal``: no polynomial is built."""
     map_kind, words, _ = FAMILIES[family]
     x, y = words(w, *params)
-    word_map = M_q if map_kind == "M" else mu_q
-    return x, y, word_map(x).m12 == word_map(y).m12
+    return x, y, m12_equal(map_kind, x, y)
 
 
 def verify_identity1_M(w: str, k: int = 0, m: int = 0, n: int = 0) -> bool:
@@ -157,12 +159,17 @@ def delta(w: str, v: str) -> LaurentPoly:
 
     Vanishes identically when v alternates {a,b} with {c,d}; outside that
     language the value is data, not a claim.  Note the second word uses the
-    full bar involution (with c and d exchanged) on v.
+    full bar involution (with c and d exchanged) on v.  The two entries are
+    first compared as packed integers (``qmatrix.m12_equal``), and ``ZERO``
+    is returned when they agree; only a nonzero difference is computed from
+    the two ``M_q`` products.
     """
     require_word(v, EXTENDED)
-    lhs = M_q("b" + apply_morphism(eta(w), v) + w + "b").m12
-    rhs = M_q("b" + w + apply_morphism(eta_prime(w), bar(v)) + "b").m12
-    return lhs - rhs
+    x = "b" + apply_morphism(eta(w), v) + w + "b"
+    y = "b" + w + apply_morphism(eta_prime(w), bar(v)) + "b"
+    if m12_equal("M", x, y):
+        return ZERO
+    return M_q(x).m12 - M_q(y).m12
 
 
 def alternating_words(max_pairs: int) -> Iterator[str]:

@@ -1,7 +1,8 @@
 """2x2 matrices over a commutative ring, the two word-to-matrix
 homomorphisms and the packed shift-and-add product engine behind them, the
-word walker shared by the searches, and the shift-and-add first-row step on
-coefficient tuples that the collision search's soundness check walks with.
+packed 12-entry comparator, the word walker shared by the searches, and the
+shift-and-add first-row step on coefficient tuples that the collision
+search's soundness check walks with.
 
 ``M_q`` sends a to the lower-triangular generator and b to the
 upper-triangular one; ``mu_q`` sends each letter to a fixed product of those
@@ -15,20 +16,28 @@ at most that entry's value at q = 1.  Take ``shift``, the bits per
 coefficient, as the bit length of the largest such value: every coefficient
 is then below 2^shift, so evaluation at q = 2^shift is injective on those
 entries, and ``unpack_poly`` reads the coefficients back.  One routine,
-``packed_step``, makes every packed product, by shift and add alone: right
-multiplication by ``L_Q`` sends the entries (a, b, c, d) to
-((a + b) << s, b, (c + d) << s, d) and by ``R_Q`` to
-(a << s, a + b, c << s, c + d), with s = ``shift``.  A letter of either map
-stands for a word of M letters (``IMAGES``: itself under M, its sigma image
-under mu, since mu_q(w) = M_q(sigma(w))), so a word's packed product is the
-identity stepped through the image of each of its letters.  ``M_q`` and
-``mu_q`` step the whole image once at s = 0, the exact product at q = 1,
-which sets ``shift``, and once at ``shift``; the collision scan steps each
-word from its parent in ``walk_words``, and the Christoffel fold starts from
-the two stepped letters.  Intermediate packed values need no bound of their
-own: they are exact evaluations, not digit strings.  A walk over all words
-up to a length takes ``shift`` from the bit length of ``max_entry_at_one``,
-the largest q = 1 entry of any such word (exact for both maps).
+``packed_step``, makes every packed product, one row at a time, by shift and
+add alone: right multiplication by ``L_Q`` sends a row (a, b) to
+((a + b) << s, b) and by ``R_Q`` to (a << s, a + b), with s = ``shift``.  A
+letter of either map stands for a word of M letters (``IMAGES``: itself
+under M, its sigma image under mu, since mu_q(w) = M_q(sigma(w))), so a
+word's packed product is the identity's rows (1, 0) and (0, 1) stepped
+through the image of each of its letters.  ``M_q`` and ``mu_q`` step both
+rows of the whole image once at s = 0, the exact product at q = 1, which
+sets ``shift``, and once at ``shift``; the collision scan steps each word's
+first row, which holds the 12-entry, from its parent's in ``walk_words``, and
+the Christoffel fold starts from the two stepped letters.  Intermediate
+packed values need no bound of their own: they are exact evaluations, not
+digit strings.  A walk over all words up to a length takes ``shift`` from
+the bit length of ``max_entry_at_one``, the largest q = 1 entry of any such
+word (exact for both maps).
+
+``m12_equal`` decides whether two words share their 12-entry without reading
+back any polynomial: it steps the first row of each word at s = 0, and
+unequal q = 1 values already mean unequal polynomials (evaluation is a ring
+map); equal ones bound every coefficient of both entries, so one more step at
+their bit length makes the two packed entries equal exactly when the
+polynomials are.
 """
 
 from __future__ import annotations
@@ -165,19 +174,24 @@ LETTERS_AT_ONE = {kind: {ch: g.map(LaurentPoly.eval_at_one) for ch, g in letters
 #: under mu, since mu_q(w) = M_q(sigma(w)).
 IMAGES = {"M": {"a": "a", "b": "b"}, "mu": SIGMA}
 
+#: The ``str.translate`` table sending a word to its image, per map.
+_IMAGE_TABLES = {kind: str.maketrans(images) for kind, images in IMAGES.items()}
 
-def packed_step(entries: tuple[int, int, int, int], image: str,
-                shift: int) -> tuple[int, int, int, int]:
-    """The entries (a, b, c, d) of a matrix over N[q] at q = 2^shift, times
+#: The rows of the identity matrix, which every packed product starts from.
+_IDENTITY_ROWS = ((1, 0), (0, 1))
+
+
+def packed_step(row: tuple[int, int], image: str, shift: int) -> tuple[int, int]:
+    """A row (a, b) of a matrix over N[q] at q = 2^shift, times
     ``M_q(image)``: stepped through the M letters of ``image`` by shift and
     add.  With shift 0 it is the exact product at q = 1."""
-    a, b, c, d = entries
+    a, b = row
     for ch in image:
         if ch == "a":
-            a, c = (a + b) << shift, (c + d) << shift
+            a = (a + b) << shift
         else:
-            a, b, c, d = a << shift, a + b, c << shift, c + d
-    return a, b, c, d
+            a, b = a << shift, a + b
+    return a, b
 
 
 def unpack_poly(packed: int, shift: int) -> LaurentPoly:
@@ -219,15 +233,38 @@ def max_entry_at_one(map_kind: str, max_len: int) -> int:
         for _ in range(max_len):
             big, small = big + small, big
         return big
-    return max(packed_step((1, 0, 0, 1), IMAGES["mu"]["b"] * max_len, 0))
+    image = IMAGES["mu"]["b"] * max_len
+    return max(max(packed_step(row, image, 0)) for row in _IDENTITY_ROWS)
 
 
 def _word_product(map_kind: str, w: str) -> Mat2:
     require_word(w, BINARY)
-    image = w.translate(str.maketrans(IMAGES[map_kind]))
+    image = w.translate(_IMAGE_TABLES[map_kind])
     # no coefficient of an entry exceeds the entry's value at q = 1 (shift 0)
-    shift = max(max(packed_step((1, 0, 0, 1), image, 0)).bit_length(), 1)
-    return Mat2(*(unpack_poly(x, shift) for x in packed_step((1, 0, 0, 1), image, shift)))
+    largest = max(max(packed_step(row, image, 0)) for row in _IDENTITY_ROWS)
+    shift = max(largest.bit_length(), 1)
+    return Mat2(*(unpack_poly(x, shift)
+                  for row in _IDENTITY_ROWS for x in packed_step(row, image, shift)))
+
+
+def m12_equal(map_kind: str, x: str, y: str) -> bool:
+    """Whether the words x and y share their 12-entry under the map
+    ``map_kind`` ("M" or "mu"), compared as packed integers.
+
+    The first row of each word's product, which holds the 12-entry, is
+    stepped from (1, 0) at shift 0: unequal q = 1 values mean unequal
+    polynomials.  Equal ones bound every coefficient of both entries (the
+    coefficients are nonnegative and sum to that value), so at q = 2^s, with
+    s its bit length, packing is injective on both and the packed entries are
+    equal exactly when the polynomials are.  No polynomial is built."""
+    table = _IMAGE_TABLES[map_kind]
+    x = require_word(x, BINARY).translate(table)
+    y = require_word(y, BINARY).translate(table)
+    at_one = packed_step((1, 0), x, 0)[1]
+    if at_one != packed_step((1, 0), y, 0)[1]:
+        return False
+    shift = max(at_one.bit_length(), 1)
+    return packed_step((1, 0), x, shift)[1] == packed_step((1, 0), y, shift)[1]
 
 
 def M_q(w: str) -> Mat2:

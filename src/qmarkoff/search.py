@@ -2,14 +2,15 @@
 classification of colliding pairs against the identity families, and the
 Christoffel injectivity experiment.
 
-The enumeration runs on the packed product engine of ``qmatrix``: each
-word's four entries at q = 2^shift (one limb of ``shift`` bits per
-coefficient) are its parent's stepped through the M letters its last letter
-stands for, by shift and add (``qmatrix.packed_step``), with no matrix
-product.  Both letter maps have entries in N[q], and the limb width is the
-bit length of ``qmatrix.max_entry_at_one``, the largest q = 1 entry of any
-word up to max_len (exact for both maps: F(max_len + 1) for M, an entry of
-b^max_len for mu), which bounds every coefficient: packing is injective.
+The enumeration runs on the packed product engine of ``qmatrix``: the first
+row of each word's matrix, which holds the 12-entry, at q = 2^shift (one
+limb of ``shift`` bits per coefficient) is its parent's stepped through the
+M letters its last letter stands for, by shift and add
+(``qmatrix.packed_step``), with no matrix product.  Both letter maps have
+entries in N[q], and the limb width is the bit length of
+``qmatrix.max_entry_at_one``, the largest q = 1 entry of any word up to
+max_len (exact for both maps: F(max_len + 1) for M, an entry of b^max_len
+for mu), which bounds every coefficient: packing is injective.
 Groups are keyed by the packed upper-right entry, unpacked once per group,
 and re-verified afterwards on an independent route: every
 colliding word's 12-entry is recomputed by the same ``walk_words``, pruned
@@ -379,9 +380,9 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     """All maximal groups of words of length <= max_len sharing their 12-entry.
 
     The scan is one in-process ``walk_words`` that buckets every word by its
-    packed 12-entry: one ``packed_step`` per word from its parent's entries,
-    by shift and add, with limbs of the bit length of ``max_entry_at_one``
-    and no matrix product.  Every word of a group of two or more is then
+    packed 12-entry: one ``packed_step`` per word from its parent's first
+    row, by shift and add, with limbs of the bit length of
+    ``max_entry_at_one`` and no matrix product.  Every word of a group of two or more is then
     checked by ``_verify_groups``, a second ``walk_words`` pruned to the
     prefixes of the colliding words, on the first row of the word's matrix
     stepped by shift and add: one row step per distinct nonempty prefix.  A
@@ -402,8 +403,8 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     shift = max(max_entry_at_one(map_kind, max_len).bit_length(), 1)
     buckets: dict[int, list[str]] = {}
     step = partial(packed_step, shift=shift)
-    for w, m in walk_words(IMAGES[map_kind], (1, 0, 0, 1), max_len, step=step):
-        buckets.setdefault(m[1], []).append(w)
+    for w, row in walk_words(IMAGES[map_kind], (1, 0), max_len, step=step):
+        buckets.setdefault(row[1], []).append(w)
     words_searched = sum(len(ws) for ws in buckets.values())
 
     groups = []
@@ -459,7 +460,8 @@ def christoffel_injectivity(max_len: int) -> InjectivityReport:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     shift = max(max_entry_at_one("mu", max_len).bit_length(), 1)
-    a, b = (Mat2(*packed_step((1, 0, 0, 1), IMAGES["mu"][ch], shift)) for ch in "ab")
+    a, b = (Mat2(*packed_step((1, 0), IMAGES["mu"][ch], shift),
+                 *packed_step((0, 1), IMAGES["mu"][ch], shift)) for ch in "ab")
     packed = {"a": a.m12, "b": b.m12}
     for u, v, mat in christoffel_fold(max_len, a, b, operator.mul):
         packed[u + v] = mat.m12

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkoff import identities
+from qmarkoff import identities, qmatrix
 from qmarkoff.identities import (FAMILIES, TAU, alternating_words, delta, eta,
                                  eta_prime, identity2_M_words, partner, phi,
                                  psi, verify_family, verify_identity1_M,
                                  verify_identity1_mu, verify_identity2_M,
                                  verify_identity2_mu)
-from qmarkoff.laurent import LaurentPoly
+from qmarkoff.laurent import ZERO, LaurentPoly
 from qmarkoff.qmatrix import M_q, mu_q
 from qmarkoff.words import apply_morphism, bar, iter_words, mirror
 
@@ -222,24 +222,32 @@ def test_verify_family_returns_both_words_and_the_verdict():
         verify_family("delta", "")
 
 
-def test_verify_family_and_delta_resolve_their_products_through_the_module(monkeypatch):
-    # the benchmark's trace wraps identities.M_q/mu_q; every product must pass there
+def test_verdicts_compare_packed_entries_and_build_no_polynomial(monkeypatch):
+    # a verdict is an equality test of packed 12-entries: no word product
+    # through identities.M_q/mu_q and no polynomial read back
     seen = []
 
-    def counting(name, word_map):
-        def wrapped(w):
-            seen.append((name, w))
-            return word_map(w)
+    def counting(name, fn):
+        def wrapped(*args):
+            seen.append(name)
+            return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(identities, "M_q", counting("M", M_q))
-    monkeypatch.setattr(identities, "mu_q", counting("mu", mu_q))
+    monkeypatch.setattr(identities, "M_q", counting("M_q", M_q))
+    monkeypatch.setattr(identities, "mu_q", counting("mu_q", mu_q))
+    monkeypatch.setattr(qmatrix, "unpack_poly", counting("unpack", qmatrix.unpack_poly))
     instances = {"1M": ("ab", 1, 0, 2), "1mu": ("aab",), "2M": ("ab", "ca", 1, 0, 2),
                  "2mu": ("ab", "cd")}
     for family, args in instances.items():
         x, y, equal = verify_family(family, *args)
-        assert equal
-        assert seen == [(FAMILIES[family][0], x), (FAMILIES[family][0], y)]
-        seen.clear()
-    assert delta("ab", "ac").is_zero()
-    assert [name for name, _ in seen] == ["M", "M"]
+        assert equal and x != y
+    assert delta("ab", "ac") == ZERO
+    assert seen == []
+    # an unequal pair (v not alternating) still gets its Laurent difference
+    w, v = "a", "a"
+    x = "b" + apply_morphism(eta(w), v) + w + "b"
+    y = "b" + w + apply_morphism(eta_prime(w), bar(v)) + "b"
+    difference = delta(w, v)
+    assert not difference.is_zero()
+    assert difference == M_q(x).m12 - M_q(y).m12
+    assert seen.count("M_q") == 2 and "mu_q" not in seen

@@ -1,5 +1,6 @@
 import operator
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from qmarkoff import qmatrix
 from qmarkoff.cyclotomic import CycInt, evaluate_matrix
 from qmarkoff.laurent import ONE, Q, ZERO, LaurentPoly
-from qmarkoff.qmatrix import (L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV, R_Q,
-                              S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
-                              first_row_step, max_entry_at_one, mu_q,
+from qmarkoff.qmatrix import (IMAGES, L_Q, LETTERS, MU_A, MU_B, Q_Q, Q_Q_INV,
+                              R_Q, S_MAT, M_q, Mat2, QMatrix, char_poly_scaled_a,
+                              first_row_step, m12_equal, max_entry_at_one, mu_q,
                               packed_step, unpack_poly, walk_words)
-from qmarkoff.words import SIGMA, bar, iter_words
+from qmarkoff.words import SIGMA, bar, iter_words, mirror
 
 from oracle import letter_product_at, matrix_at
 
@@ -326,12 +327,90 @@ def test_pack_round_trip(shift, min_degree, coeffs):
 def test_unpack_of_a_long_entry_matches_the_first_row_route():
     # (aab)^150 has a 12-entry of more than 1,000 limbs, read by halving
     image = ("aab" * 150).translate(str.maketrans(SIGMA))
-    shift = max(packed_step((1, 0, 0, 1), image, 0)).bit_length()
-    a, b, _, _ = packed_step((1, 0, 0, 1), image, shift)
+    shift = max(max(packed_step(row, image, 0)) for row in ((1, 0), (0, 1))).bit_length()
+    a, b = packed_step((1, 0), image, shift)
     assert b.bit_length() > 1000 * shift
     p, r = first_row_step(((1,), ()), image)
     assert unpack_poly(a, shift) == LaurentPoly(0, p)
     assert unpack_poly(b, shift) == LaurentPoly(0, r)
+
+
+@pytest.mark.parametrize("kind, max_len", [("M", 9), ("mu", 10)])
+def test_m12_equal_matches_the_laurent_walk_where_values_at_one_agree(kind, max_len):
+    # only pairs with equal q = 1 12-entries reach the packed comparison:
+    # every such pair, checked against the Laurent product of each word
+    entries, by_value = {}, {}
+    for w, m in walk_words(LETTERS[kind], Mat2.identity(), max_len):
+        entries[w] = m.m12
+        by_value.setdefault(m.m12.eval_at_one(), []).append(w)
+    pairs = [(x, y) for ws in by_value.values() for x, y in combinations(ws, 2)]
+    equal = [entries[x] == entries[y] for x, y in pairs]
+    assert [m12_equal(kind, x, y) for x, y in pairs] == equal
+    # equal and unequal polynomials both occur among these pairs
+    assert len(pairs) > {"M": 19_000, "mu": 250}[kind]
+    assert 0 < sum(equal) < len(pairs)
+
+
+@pytest.mark.parametrize("kind", ["M", "mu"])
+def test_m12_equal_matches_the_laurent_walk_on_all_short_pairs(kind):
+    # pairs whose q = 1 values differ too, including those where the packed
+    # entries at the smaller value's bit length alone would coincide
+    entries = {w: m.m12 for w, m in walk_words(LETTERS[kind], Mat2.identity(), 6)}
+    for x, y in combinations(entries, 2):
+        assert m12_equal(kind, x, y) == (entries[x] == entries[y]), (x, y)
+
+
+@pytest.mark.parametrize("kind", ["M", "mu"])
+def test_m12_equal_steps_at_the_bit_length_of_the_shared_value_at_one(monkeypatch, kind):
+    # no pair of words up to length 12 (M) or 9 (mu) is misjudged with a
+    # limb one bit narrower, or with the limb of one word's value alone when
+    # the q = 1 values differ: only the shifts show that the bound held
+    shifts = []
+
+    def recording_step(row, image, shift):
+        shifts.append(shift)
+        return packed_step(row, image, shift)
+
+    monkeypatch.setattr(qmatrix, "packed_step", recording_step)
+    w = "ab" * 10
+    pairs = [*combinations(iter_words("ab", 5), 2),
+             ("b" + w + "b", "b" + bar(w) + "b"), ("a" + w + "b", "a" + mirror(w) + "b")]
+    at_one = {v: _laurent_product(kind, v).m12.eval_at_one() for v in {*sum(pairs, ())}}
+    for x, y in pairs:
+        shifts.clear()
+        vx, vy = at_one[x], at_one[y]
+        m12_equal(kind, x, y)
+        # unequal q = 1 values end the comparison after the two shift-0 steps
+        assert shifts == [0, 0] + [max(vx.bit_length(), 1)] * 2 * (vx == vy), (x, y)
+
+
+def _first_row_entry(kind, w):
+    """The 12-entry of w as a coefficient tuple, on the first-row route."""
+    return first_row_step(((1,), ()), w.translate(str.maketrans(IMAGES[kind])))[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["M", "mu"]), st.text(alphabet="ab", max_size=78),
+       st.text(alphabet="ab", max_size=80), st.sampled_from(["family", "prefix", "free"]))
+@example("M", "ab" * 39, "", "prefix")
+@example("mu", "aab" * 26, "", "family")
+def test_m12_equal_on_long_words_matches_the_first_row_route(kind, w, z, how):
+    if how == "family":  # first-family pairs: equal entries
+        x, y = ("a" + w + "b", "a" + mirror(w) + "b") if kind == "mu" else \
+            ("b" + w + "b", "b" + bar(w) + "b")
+    elif how == "prefix":  # under M, q times the entry: equal only at q = 1
+        x, y = w, "a" + w
+    else:
+        x, y = w, z
+    assert m12_equal(kind, x, y) == (_first_row_entry(kind, x) == _first_row_entry(kind, y))
+    assert m12_equal(kind, x, x)
+
+
+def test_m12_equal_validates_its_words():
+    with pytest.raises(ValueError):
+        m12_equal("M", "ab", "ac")
+    with pytest.raises(KeyError):
+        m12_equal("sigma", "ab", "ab")
 
 
 @pytest.mark.parametrize("kind", ["M", "mu"])

@@ -13,7 +13,7 @@ from qmarkoff.markoff import markoff_numbers_up_to
 from qmarkoff.qmatrix import LETTERS, M_q, Mat2, mu_q, walk_words
 from qmarkoff.search import (Classification, SearchBoundError,
                              christoffel_injectivity, classify_pair, collide)
-from qmarkoff.words import christoffel_words, letter_counts
+from qmarkoff.words import christoffel_words, iter_words, letter_counts
 
 
 def test_no_collisions_up_to_length_two():
@@ -407,3 +407,76 @@ def test_2M_instances_with_empty_v_classify_as_identity2():
     missed = [(x, y) for x, y in pairs
               if classify_pair(x, y, "M", require_collision=False).kind not in expected]
     assert not missed
+
+
+def _every_family_instance(family, max_len):
+    """(params, x, y) for every instance of ``family`` with x != y and both
+    words of length <= max_len, built by the family's word function.
+
+    The length of a family's words grows with |w| and |v| alone, so the
+    walk over w, by length, stops at the first w that does not fit, and a v
+    none of whose pairs fit has no longer v that fits."""
+    _, words, names = FAMILIES[family]
+    stack = [("",)] if "v" in names else [()]
+    while stack:
+        v, fitted = stack.pop(), False
+        for w in iter_words("ab", max_len):
+            x, y = words(w, *v)
+            if max(len(x), len(y)) > max_len:
+                break
+            fitted = True
+            if "k" not in names:
+                if x != y:
+                    yield v, x, y
+                continue
+            # k, m, n pad the bare pair with a-runs: checked once, then applied
+            assert words(w, *v, 1, 2, 3) == ("a" + x + "aa", "a" + y + "aaa")
+            for k in range(max_len - max(len(x), len(y)) + 1):
+                for m in range(max_len - k - len(x) + 1):
+                    for n in range(max_len - k - len(y) + 1):
+                        if m != n or x != y:
+                            yield (*v, k, m, n), "a" * k + x + "a" * m, "a" * k + y + "a" * n
+        if v and fitted:
+            stack.extend((v[0] + ch,) for ch in "abcd")
+
+
+@pytest.fixture(scope="module")
+def census_instances():
+    """Per family, split by whether the instance is a 2M one with v = '':
+    (params, x, y, kind) for every instance with both words of length <= 12,
+    where kind is the classification of the pair (x, y) in ``collide`` at
+    length 12, or None if x and y lie in different groups."""
+    found = {}
+    for map_kind in ("M", "mu"):
+        report = collide(map_kind, 12)
+        kinds = {}
+        for c in report.classifications:
+            kinds[c.x, c.y] = kinds[c.y, c.x] = c.kind
+        for family in (f for f, entry in FAMILIES.items() if entry[0] == map_kind):
+            found[family] = {False: [], True: []}
+            for params, x, y in _every_family_instance(family, 12):
+                trailing_a = family == "2M" and params[0] == ""
+                found[family][trailing_a].append((params, x, y, kinds.get((x, y))))
+    return found
+
+
+_INDIRECT = (Classification.CHAIN, Classification.UNEXPLAINED)
+
+
+@pytest.mark.parametrize("family, count, trailing_a", [
+    ("1M", 23_212, 0), ("1mu", 1_922, 0), ("2M", 44, 15_628), ("2mu", 26, 0)])
+def test_census_holds_every_family_instance_classified_directly(census_instances, family,
+                                                                count, trailing_a):
+    # every instance up to the census length lands in one group, and the
+    # classifier names its family (or both), not chain or unexplained
+    instances = census_instances[family][False]
+    assert (len(instances), len(census_instances[family][True])) == (count, trailing_a)
+    assert [i for i in instances + census_instances[family][True] if i[3] is None] == []
+    assert [i for i in instances if i[3] in _INDIRECT] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "2M pairs with v = '' differ only in their trailing a-runs, which the "
+    "witness finder strips: the census classifies them as chain"))
+def test_census_classifies_the_2M_instances_with_empty_v_directly(census_instances):
+    assert [i for i in census_instances["2M"][True] if i[3] in _INDIRECT] == []
