@@ -13,11 +13,14 @@ closed before all of the output was written (e.g. piped into head).
 every command and changes no output: every command runs in one process.
 
 ``collide`` writes its JSON in chunks as it renders them, straight from the
-report's objects, classifying and writing the pairs one group at a time;
-every other command renders one value with ``_json_text``.  Both give the
-bytes of ``json.dumps(..., sort_keys=True, indent=2)``.  Every output form of
-``collide`` classifies each collision group once: JSON and human output as
-they write the pairs, CSV (which lists no pairs) for its exit code.
+report's objects, classifying and writing the pairs one group at a time
+from the group's table of verdicts (``search.GroupTable``: the kind and
+witness text is made once per table entry, each word's text once per
+group); every other command renders one value with ``_json_text``.  Both
+give the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.  Every
+output form of ``collide`` classifies each collision group once: JSON and
+human output as they write the pairs, CSV (which lists no pairs) for its
+exit code, which the table's tallies give with no pass over the pairs.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .cyclotomic import (ResidueBoundError, cone_of, eval_cyclotomic, figure2_ro
 from .identities import FAMILIES, alternating_words, delta, verify_family
 from .markoff import markoff_numbers, markoff_numbers_up_to
 from .qmatrix import M_q, mu_q
-from .search import (Classification, CollisionGroup, CollisionReport,
-                     PairClassification, SearchBoundError, collide)
+from .search import (Classification, CollisionGroup, CollisionReport, GroupTable,
+                     SearchBoundError, collide)
 from .words import (BINARY, EXTENDED, christoffel_words, letter_counts,
                     require_word, stern_brocot_fraction)
 
@@ -111,56 +114,85 @@ def _collide_json(report: CollisionReport) -> Iterator[str]:
     """``_json_text(report.to_json_dict()) + "\n"``, in chunks of text.
 
     The pairs come first in sorted-key order, so they are classified one
-    group at a time (``report.group_pairs``), written as one chunk and
-    dropped; the summary after them reads the tallies of that pass.  The
-    pairs, their witnesses and the groups are written straight from the
-    report's objects, each through a fixed ``%`` template with its keys in
-    sorted order (a witness through one template per key set), so neither
-    the dict tree, the whole text nor the list of pairs is ever built; the
-    groups go a chunk of at most 2048 at a time."""
+    group at a time (``report.group_tables``), written as one chunk and
+    dropped; the summary after them reads the tallies of that pass.  A pair
+    is one f-string of five pieces: the text before its bound (its kind),
+    its bound, the text from its witness to x, x, and the text from y on.
+    The kind and witness pieces are made once per table entry (a witness
+    through one template per key set, keys in sorted order), and the word
+    pieces once per word of the group.  A group is one template filled with
+    its polynomial's coefficients and its words.  So neither the dict tree,
+    the whole text nor the list of pairs is ever built; the groups go a
+    chunk of at most 512 at a time."""
     render = _json_writer()
     encode = json.encoder.encode_basestring_ascii
-    pair_text = ('{\n      "kind": %s,\n      "w_search_bound": %d,\n      "witness": %s,'
-                 '\n      "x": %s,\n      "y": %s\n    }')
-    group_text = '{\n      "polynomial": %s,\n      "words": [\n        %s\n      ]\n    }'
-    witness_forms: dict[tuple, tuple[str, list]] = {}  # keys -> (template, sorted keys)
+    group_text = ('{\n      "polynomial": {\n        "coeffs": %s,\n        "min_degree": %d'
+                  '\n      },\n      "words": [\n        %s\n      ]\n    }')
+    # the pieces of a pair's text, keys in sorted order; the kind is a str
+    # enum, which the string encoder writes as its value
+    heads = {kind: '{\n      "kind": ' + encode(kind) + ',\n      "w_search_bound": '
+             for kind in Classification}
+    middles: dict[tuple, tuple[str, list]] = {}  # witness keys -> (template, sorted keys)
 
-    def witness(w: Optional[dict]) -> str:
+    def middle(w: Optional[dict]) -> str:
         if w is None:
-            return "null"
+            return ',\n      "witness": null,\n      "x": '
         keys = tuple(w)
-        form = witness_forms.get(keys)
+        form = middles.get(keys)
         if form is None:
             order = sorted(keys)
-            template = "{" + ",".join(["\n        " + encode(k) + ": %s" for k in order])
-            form = witness_forms[keys] = template + "\n      }", order
+            fields = ",".join(["\n        " + encode(k).replace("%", "%%") + ": %s"
+                               for k in order])
+            form = middles[keys] = (',\n      "witness": {' + fields
+                                    + '\n      },\n      "x": '), order
         template, order = form
         return template % tuple([encode(v) if type(v) is str else render(v, "\n        ")
                                  for v in map(w.__getitem__, order)])
 
-    def pair(c: PairClassification) -> str:
-        # the kind is a str enum, which the string encoder writes as its value
-        return pair_text % (encode(c.kind), c.w_search_bound, witness(c.witness),
-                            encode(c.x), encode(c.y))
+    def pairs(table: GroupTable) -> str:
+        words, entries, rows = table.words, table.entries, table.rows()
+        # one pair, as in almost every mu group: the per-group lists below
+        # made mu 16's pair stage about 1.2x the parent's (BENCH_19.json)
+        if len(words) == 2:
+            kind, w = entries[rows[0][0]]
+            return (f'{heads[kind]}{len(words[1]) // 2}{middle(w)}{encode(words[0])},'
+                    f'\n      "y": {encode(words[1])}\n    }}')
+        entry_heads = [heads[kind] for kind, _ in entries]
+        entry_middles = [middle(w) for _, w in entries]
+        xs = list(map(encode, words))
+        ys = [f',\n      "y": {y}\n    }}' for y in xs]
+        # a group's words are sorted by length: the later word's half is the bound
+        bounds = [len(w) // 2 for w in words]
+        texts: list[str] = []
+        for i, row in enumerate(rows):
+            x = xs[i]
+            texts += [f"{entry_heads[e]}{bounds[j]}{entry_middles[e]}{x}{ys[j]}"
+                      for j, e in enumerate(row, i + 1)]
+        return ",\n    ".join(texts)
 
     def group(g: CollisionGroup) -> str:
-        return group_text % (render(g.polynomial.to_json_dict(), "\n      "),
+        coeffs = ",\n          ".join(['"%d"' % c for c in g.polynomial.coefficients])
+        coeffs = "[\n          " + coeffs + "\n        ]" if coeffs else "[]"
+        return group_text % (coeffs, g.polynomial.min_degree,
                              ",\n        ".join(map(encode, g.words)))
 
-    def items(chunks: Iterable[list], text: Callable[..., str]) -> Iterator[str]:
-        # one list of values per chunk of text; "[]" when there are none
+    def items(chunks: Iterable[str]) -> Iterator[str]:
+        # one chunk of text per nonempty list of values; "[]" when there are none.
+        # A chunk is yielded as it is, not copied behind its separator.
         sep = "[\n    "
-        for values in chunks:
-            yield sep + ",\n    ".join(map(text, values))
+        for chunk in chunks:
+            yield sep
+            yield chunk
             sep = ",\n    "
         yield "[]" if sep == "[\n    " else "\n  ]"
 
     # the top-level keys in sorted order: these two, then the tail's four
     groups = report.groups
     yield '{\n  "classifications": '
-    yield from items(report.group_pairs(), pair)
+    yield from items(map(pairs, report.group_tables()))
     yield ',\n  "groups": '
-    yield from items((groups[i:i + 2048] for i in range(0, len(groups), 2048)), group)
+    yield from items(",\n    ".join(map(group, groups[i:i + 512]))
+                     for i in range(0, len(groups), 512))
     tail = _json_text({"map": report.map_kind, "max_len": report.max_len,
                        "summary": report.summary(),
                        "unexplained_present": report.has_unexplained})

@@ -24,14 +24,20 @@ row's 12-entry is compared with its group polynomial's coefficient tuple.
 Inner words cut from validated words go to the unchecked forms of
 ``bar``, ``partner``, ``phi`` and ``psi``, which skip ``require_word``.
 
-Each group is classified by one pass, ``_classify_group``: every word is
-bracketed once, each word that can be explained with a later one gets one
-table (the involution image of its inner word and its identity-2 partner
-inner words), each pair is two lookups, and a union-find over the explained
-pairs in the same pass marks the chains.  ``classify_pair`` is that pass on
-a group of two.  The report holds no pairs: ``CollisionReport.group_pairs``
-classifies one group at a time and tallies what the summary needs, so a
-census's memory grows with its words, not with its pairs.
+Each group is classified by one classifier, ``_classify_group``, which
+gives one verdict per ordered pair of distinct brackets (``GroupTable``): a
+pair's verdict depends only on the brackets of its two words, and under M
+the trailing-a variants of a word share its bracket.  Every word is
+bracketed once; each bracket that can be explained with a later word gets
+one table (the involution image of its inner word and its identity-2
+partner inner words); a union-find over the brackets of the explained
+entries marks the chains; and the group's tallies are counted from the
+entries and components, with no pass over its pairs.  ``GroupTable.rows``
+gives the entry of every pair.  ``classify_pair`` is the classifier on a
+group of two, its collision checked by ``qmatrix.m12_equal``.  The report
+holds no pairs: ``CollisionReport.group_tables`` classifies one group at a
+time and tallies what the summary needs, so a census's memory grows with
+its words, not with its pairs.
 
 The scan runs in the calling process, whatever ``--jobs`` says: it costs one
 packed step per word, and worker processes would have to pickle every
@@ -47,13 +53,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from typing import Iterator, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclotomic import eval_cyclotomic
 from .identities import _partner, _phi, _psi
 from .laurent import LaurentPoly
-from .qmatrix import (IMAGES, M_q, Mat2, first_row_step, max_entry_at_one, mu_q,
-                      packed_step, unpack_poly, walk_words)
+# M_q and mu_q are not called here: they stay importable as search.M_q and
+# search.mu_q, which perfbench/traced.py hooks
+from .qmatrix import (IMAGES, M_q, Mat2, first_row_step, m12_equal, max_entry_at_one,
+                      mu_q, packed_step, unpack_poly, walk_words)
 from .words import (BINARY, _bar, apply_morphism, christoffel_fold, letter_counts,
                     mirror, require_word)
 
@@ -93,11 +102,13 @@ class CollisionReport:
     """The collision groups of one search and, unless ``classify`` is off,
     the classification of their pairs.
 
-    The pairs are not stored: ``group_pairs`` classifies them one group at
-    a time and tallies them as it goes, and ``summary``, ``has_unexplained``
-    and ``w_search_bound`` read those tallies, classifying every group once
-    more only if no pass has finished yet.  ``classifications`` is the list
-    of every pair, built by one such pass when first read."""
+    The pairs are not stored: ``group_tables`` classifies them one group at
+    a time and tallies each group from its table as it goes (``group_pairs``
+    lists each group's pairs from the same table), and ``summary``,
+    ``has_unexplained`` and ``w_search_bound`` read those tallies,
+    classifying every group once more, with no pass over its pairs, only if
+    no pass has finished yet.  ``classifications`` is the list of every
+    pair, built by one such pass when first read."""
 
     map_kind: str
     max_len: int
@@ -107,24 +118,31 @@ class CollisionReport:
     _tallies: Optional[tuple[Counter, int]] = field(default=None, init=False,
                                                     repr=False, compare=False)
 
-    def group_pairs(self) -> Iterator[list[PairClassification]]:
-        """Yield each group's classified pairs (``_classify_group``), group
-        by group in report order; once the last group is yielded, keep the
+    def group_tables(self) -> Iterator[GroupTable]:
+        """Yield each group's ``GroupTable`` (``_classify_group``), group by
+        group in report order; once the last group is yielded, keep the
         count of each kind and the largest ``w_search_bound``."""
         counts: Counter = Counter()
         bound = 0
         if self.classify:
             for g in self.groups:
-                pairs = _classify_group(self.map_kind, g.words)
-                counts.update([c.kind for c in pairs])
-                # the last pair holds the group's longest word: the largest bound
-                bound = max(bound, pairs[-1].w_search_bound)
-                yield pairs
+                table = _classify_group(self.map_kind, g.words)
+                for kind, count in table.counts.items():
+                    counts[kind] += count
+                # the group's last word is its longest: the largest bound
+                bound = max(bound, len(g.words[-1]) // 2)
+                yield table
         self._tallies = counts, bound
+
+    def group_pairs(self) -> Iterator[list[PairClassification]]:
+        """Yield each group's classified pairs, built from its table, as
+        ``group_tables`` yields it."""
+        for table in self.group_tables():
+            yield table.classifications()
 
     def _tally(self) -> tuple[Counter, int]:
         if self._tallies is None:
-            for _ in self.group_pairs():
+            for _ in self.group_tables():
                 pass
         return self._tallies
 
@@ -210,7 +228,8 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
     """Direct classification of one colliding unordered pair.
 
     The pair must consist of two distinct words whose 12-entries agree
-    (checked unless ``require_collision`` is disabled by a caller that has
+    (checked by ``qmatrix.m12_equal``, on packed integers with no polynomial
+    built, unless ``require_collision`` is disabled by a caller that has
     already confirmed it).  The pair is classified as the two-word group
     (x, y) by :func:`_classify_group`, the one classifier; chain
     explanations need a larger group and are assigned by :func:`collide`.
@@ -221,11 +240,9 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
         raise ValueError("pairs are unordered distinct words")
     if map_kind not in IMAGES:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
-    if require_collision:
-        fn = M_q if map_kind == "M" else mu_q
-        if fn(x).m12 != fn(y).m12:
-            raise ValueError(f"{x!r} and {y!r} do not share their 12-entry under {map_kind}")
-    return _classify_group(map_kind, (x, y))[0]
+    if require_collision and not m12_equal(map_kind, x, y):
+        raise ValueError(f"{x!r} and {y!r} do not share their 12-entry under {map_kind}")
+    return _classify_group(map_kind, (x, y)).classifications()[0]
 
 
 #: Per map: the identity-1 involution, the identity-2 morphism, and the
@@ -239,13 +256,12 @@ def _bracket(map_kind: str, x: str) -> Optional[tuple[int, str]]:
     return (k, inner), or None when x has no such bracket."""
     if map_kind == "mu":
         return (0, x[1:-1]) if len(x) >= 2 and x[0] == "a" and x[-1] == "b" else None
-    k = len(x) - len(x.lstrip("a"))
-    core = x[k:].rstrip("a")  # starts and ends with b when nonempty
-    return (k, core[1:-1]) if len(core) >= 2 else None
+    core = x.strip("a")  # starts and ends with b when nonempty
+    return (x.find("b"), core[1:-1]) if len(core) >= 2 else None
 
 
 def _identity2_partners(map_kind: str, inner: str,
-                        mates: list[str]) -> dict[str, tuple[int, str, str]]:
+                        mates: Iterable[str]) -> dict[str, tuple[int, str, str]]:
     """Decompose ``inner`` as morphism_w(v) . w, for each |w| from 0 up, and
     map each partner inner word morphism_w(partner(v)) . w to (|w|, w, v),
     keeping the smallest |w|.  A partner ends in its w, so only the w that
@@ -260,7 +276,8 @@ def _identity2_partners(map_kind: str, inner: str,
     for wlen in range((n - base) // 3 + 1):  # the body holds one block or more
         body_len, block = n - wlen, 2 * wlen + base
         w = inner[body_len:]
-        if body_len % block or not any(m.endswith(w) for m in mates):
+        # every mate ends in the empty w
+        if body_len % block or w and not any(m.endswith(w) for m in mates):
             continue
         images = morphism(w)
         inverse = {img: letter for letter, img in images.items()}
@@ -271,66 +288,170 @@ def _identity2_partners(map_kind: str, inner: str,
     return table
 
 
-def _classify_group(map_kind: str, words: tuple[str, ...]) -> list[PairClassification]:
-    """Classify every pair of one collision group, in the order of
-    ``combinations(words, 2)``.
+#: The first two entries of every ``GroupTable``, at these positions: the
+#: verdicts of a pair that no family explains, apart or joined by a chain of
+#: explained pairs.
+_UNEXPLAINED, _CHAIN = 0, 1
+_FIXED_ENTRIES = ((Classification.UNEXPLAINED, None), (Classification.CHAIN, None))
+#: The row of a bracket that explains none.
+_NO_ENTRIES: Mapping[int, int] = MappingProxyType({})
 
-    Each word is bracketed once.  A pair can be explained only when both
-    words bracket with the same leading a-run k and inner words of one
-    length n.  Each word followed by such a word gets one table: the
-    involution image of its inner word (identity 1) and its identity-2
-    partners (``_identity2_partners``), decomposed only at the w that a
-    later inner word of its (k, n) class ends in.  A pair (x, y) is then
-    identity 1 when y's inner word is the image, and identity 2 when it is
-    a partner with |w| <= max(|x|, |y|) // 2; with both, the witness is
-    identity 2's.  A union-find over the explained pairs runs in the same
-    pass, and an unexplained pair whose words it joins is a chain.
+
+class GroupTable(NamedTuple):
+    """The verdicts of one collision group (``_classify_group``).
+
+    A bracket is numbered by the position of its first word in ``words``,
+    and ``index`` gives each word's bracket.
+    ``table[t]`` maps each bracket u that bracket t explains, and that has a
+    word after t's first word, to the position in ``entries`` of their
+    (kind, witness), the witness cut from t's inner word.  ``entries``
+    starts with the unexplained and the chain verdict (``_FIXED_ENTRIES``).
+    ``roots`` gives each word the root of its component in the union-find
+    over the explained pairs, or ~position for a word that no explained pair
+    holds.  ``counts`` tallies the group's pairs by kind."""
+
+    words: tuple[str, ...]
+    index: Sequence[int]
+    table: list[Mapping[int, int]]
+    entries: list[tuple[Classification, Optional[dict]]]
+    roots: Sequence[int]
+    counts: dict[Classification, int]
+
+    def rows(self) -> list[list[int]]:
+        """Row i holds the entries of the pairs (i, j) for j = i + 1, ...:
+        the pairs in the order of ``combinations(words, 2)``."""
+        index, table, roots = self.index, self.table, self.roots
+        n = len(index)
+        rows = []
+        for i in range(n - 1):
+            row, root = table[index[i]], roots[i]
+            rows.append([row.get(index[j], _CHAIN if roots[j] == root else _UNEXPLAINED)
+                         for j in range(i + 1, n)])
+        return rows
+
+    def classifications(self) -> list[PairClassification]:
+        """Every pair's ``PairClassification``, each with its own witness dict."""
+        words, entries = self.words, self.entries
+        out = []
+        for i, row in enumerate(self.rows()):
+            x = words[i]
+            for y, (kind, witness) in zip(words[i + 1:], map(entries.__getitem__, row)):
+                out.append(PairClassification(x, y, kind, witness and dict(witness),
+                                              max(len(x), len(y)) // 2))
+        return out
+
+
+def _explain(map_kind: str, k: int, inner: str, later: dict[str, int],
+             entries: list[tuple[Classification, Optional[dict]]]) -> dict[int, int]:
+    """Map each bracket of ``later`` (inner word -> bracket, all of the class
+    (k, |inner|)) that the bracket (k, inner) explains to the position of
+    their (kind, witness), appended to ``entries``."""
+    row: dict[int, int] = {}
+    image = _FAMILY_MAPS[map_kind][0](inner)
+    # no |w| bound is checked: every partner passes the pair's bound
+    # |w| <= max(|x|, |y|) // 2, as 3|w| + base <= |inner| <= |x| - 2
+    # (the body holds one block or more)
+    for by, (_, w, v) in _identity2_partners(map_kind, inner, later).items():
+        u = later.get(by)
+        if u is not None:
+            row[u] = len(entries)
+            kind = Classification.BOTH if by == image else Classification.IDENTITY2
+            entries.append((kind, {"family": "identity2", "w": w, "v": v}))
+    u = later.get(image)
+    if u is not None and u not in row:
+        row[u] = len(entries)
+        entries.append((Classification.IDENTITY1, {"family": "identity1", "inner": inner}))
+    if map_kind == "M":
+        for e in row.values():
+            entries[e][1]["k"] = k  # the leading a-run of both words
+    return row
+
+
+def _classify_group(map_kind: str, words: tuple[str, ...]) -> GroupTable:
+    """Classify every pair of one collision group: one verdict per ordered
+    pair of distinct brackets (``GroupTable``).
+
+    A pair's verdict depends only on the brackets of its two words, and it
+    can be explained only when both bracket with the same leading a-run k
+    and inner words of one length n.  Walking the words from the last, each
+    bracket's first word that has a later word of its (k, n) class gets one
+    table: the involution image of its inner word (identity 1) and its
+    identity-2 partners (``_identity2_partners``), decomposed only at the w
+    that a later inner word of the class ends in.  A pair is identity 1 when
+    the later bracket's inner word is the image, and identity 2 when it is a
+    partner; with both, the witness is identity 2's.  The kind is symmetric
+    (partner and the involution are involutions), so bracket t explains u
+    exactly when u explains t.  A union-find over the brackets joins the two
+    of every entry, and an unexplained pair whose words it joins is a chain.
+    The tallies come from the table: an entry of two distinct brackets
+    stands for |t| * |u| pairs and one of a bracket with itself for
+    C(|t|, 2), and each component of c words holds C(c, 2) pairs, of which
+    those not explained are chains.
     """
-    involution = _FAMILY_MAPS[map_kind][0]
-    brackets: list[Optional[tuple[int, str]]] = [None] * len(words)
-    parent = list(range(len(words)))  # a union-find over the explained pairs
-    later: dict[tuple[int, int], list[str]] = {}  # (k, n) -> inner words after word i
-    rows = []  # the pairs (i, j), j > i, for i from the last word down
-    for i in range(len(words) - 1, -1, -1):
-        x = words[i]
-        bx = brackets[i] = _bracket(map_kind, x)
-        row = []
-        rows.append(row)
-        if bx is not None:
-            k, inner = bx
-            mates = later.setdefault((k, len(inner)), [])
-            if mates:
-                partners = _identity2_partners(map_kind, inner, mates)
-                image = involution(inner)
-            else:
-                bx = None  # no later word to pair with
-            mates.append(inner)
-        for j in range(i + 1, len(words)):
-            w_bound = max(len(x), len(words[j])) // 2
-            py = brackets[j]
-            kind = witness = None
-            if bx is not None and py is not None and py[0] == k:
-                by = py[1]
-                hit = partners.get(by)
-                if hit is not None and hit[0] <= w_bound:
-                    witness = {"family": "identity2", "w": hit[1], "v": hit[2]}
-                    kind = Classification.BOTH if by == image else Classification.IDENTITY2
-                elif by == image:
-                    witness = {"family": "identity1", "inner": inner}
-                    kind = Classification.IDENTITY1
-                if witness is not None:
-                    if map_kind == "M":
-                        witness["k"] = k  # the leading a-run of both words
-                    parent[_find(parent, i)] = _find(parent, j)
-            row.append((i, j, kind, witness, w_bound))
-    pairs = []
-    for row in reversed(rows):
-        for i, j, kind, witness, w_bound in row:
-            if kind is None:
-                joined = _find(parent, i) == _find(parent, j)
-                kind = Classification.CHAIN if joined else Classification.UNEXPLAINED
-            pairs.append(PairClassification(words[i], words[j], kind, witness, w_bound))
-    return pairs
+    n = len(words)
+    if n == 2:
+        bx, by = _bracket(map_kind, words[0]), _bracket(map_kind, words[1])
+        if bx != by:  # one pair of two brackets: every mu group but a few
+            entries = [*_FIXED_ENTRIES]
+            row = _NO_ENTRIES
+            if bx and by and bx[0] == by[0] and len(bx[1]) == len(by[1]):
+                row = _explain(map_kind, *bx, {by[1]: 1}, entries) or _NO_ENTRIES
+            kind = entries[2][0] if row else Classification.UNEXPLAINED
+            return GroupTable(words, range(2), [row, _NO_ENTRIES], entries, (-1, -2),
+                              {kind: 1})
+    brackets = [_bracket(map_kind, w) for w in words]
+    first: dict = {}
+    index = [first.setdefault(b, i) for i, b in enumerate(brackets)]
+    size = [0] * n  # words per bracket
+    for t in index:
+        size[t] += 1
+    table: list[Mapping[int, int]] = [_NO_ENTRIES] * n
+    entries: list[tuple[Classification, Optional[dict]]] = [*_FIXED_ENTRIES]
+    counts: dict[Classification, int] = {}
+    explained = 0
+    # (k, |inner|) -> the inner words of the class after word i -> their bracket
+    classes: dict[tuple[int, int], dict[str, int]] = {}
+    for i in range(n - 1, -1, -1):
+        b = brackets[i]
+        if b is None:
+            continue
+        k, inner = b
+        later = classes.get((k, len(inner)))
+        if later is None:
+            later = classes[k, len(inner)] = {}
+        elif index[i] == i:
+            row = _explain(map_kind, k, inner, later, entries)
+            if row:
+                table[i] = row
+            for u, e in row.items():
+                if u < i:
+                    continue  # the same pairs as entry table[u][i]
+                pairs = size[i] * size[u] if u != i else size[i] * (size[i] - 1) // 2
+                kind = entries[e][0]
+                counts[kind] = counts.get(kind, 0) + pairs
+                explained += pairs
+        later[inner] = index[i]
+
+    total = n * (n - 1) // 2
+    roots: Sequence[int] = range(-1, -n - 1, -1)  # ~i: no word joined to another
+    chains = 0
+    if 0 < explained < total:  # else no unexplained pair, or none joined
+        parent = list(range(n))  # a union-find over the brackets
+        for t, row in enumerate(table):
+            for u in row:
+                parent[_find(parent, t)] = _find(parent, u)
+        linked = {b for t, row in enumerate(table) if row for b in (t, *row)}
+        tops = {t: _find(parent, t) for t in linked}
+        roots = [tops.get(t, ~i) for i, t in enumerate(index)]
+        words_in = dict.fromkeys(tops.values(), 0)  # words per component, by its root
+        for t, r in tops.items():
+            words_in[r] += size[t]
+        chains = sum([c * (c - 1) // 2 for c in words_in.values()]) - explained
+        if chains:
+            counts[Classification.CHAIN] = chains
+    if explained + chains < total:
+        counts[Classification.UNEXPLAINED] = total - explained - chains
+    return GroupTable(words, index, table, entries, roots, counts)
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -388,8 +509,8 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     stepped by shift and add: one row step per distinct nonempty prefix.  A
     word whose entry differs from its group's raises AssertionError naming
     it.  The report classifies the pairs when they are read, one
-    ``_classify_group`` pass per group, chains included
-    (``CollisionReport.group_pairs``); ``classify=False`` reports none.
+    ``_classify_group`` table per group, chains included
+    (``CollisionReport.group_tables``); ``classify=False`` reports none.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.

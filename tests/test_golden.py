@@ -1,8 +1,11 @@
 """Golden CLI outputs: SHA-256 of stdout and the exit code of small commands.
 
 The first digests were recorded before the ring-generic matrix refactor, the
-rest (one for every command and output format not yet covered) before the
-single CLI renderer replaced the per-command format branches.  They must
+next (one for every command and output format not yet covered) before the
+single CLI renderer replaced the per-command format branches, and the last
+three (the human and CSV forms of M at length 12, whose output and exit code
+read every pair's verdict, and the human form of mu at length 14) before the
+collision classifier became one table per pair of distinct brackets.  They must
 never change: every subcommand, output format and ``--jobs`` value prints
 byte-identical output.
 """
@@ -109,6 +112,12 @@ GOLDEN = [
      "c7d593c0e7be0e9f7017aa44b752ee58c586d7571ea3d4c641076e1412e65bce"),
     ("markoff --up-to 1000 --format human", 0,
      "16df7b3bc734c370a241d5bd5170a544512f743f9787614165bedeb47666c862"),
+    ("collide --map M --max-len 12 --format human", 3,
+     "70c8aeddf977d402ed21ac61122591ae6508041d96074444122930844deeef9c"),
+    ("collide --map M --max-len 12 --format csv", 3,
+     "0c68e738c5af9836567f10bd1ef64122a666f9b82ef341e2b0348b40e714ce5b"),
+    ("collide --map mu --max-len 14 --format human", 0,
+     "ff1cbc456aa8f79ca664bb5ca52c8898124f9e3f15a670f9b4cee2be54258bb1"),
 ]
 
 

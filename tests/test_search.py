@@ -4,15 +4,18 @@ import re
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
-from qmarkoff import search
+from qmarkoff import qmatrix, search
 from qmarkoff.cli import main
-from qmarkoff.identities import FAMILIES
+from qmarkoff.identities import FAMILIES, identity2_M_words, identity2_mu_words
 from qmarkoff.markoff import markoff_numbers_up_to
 from qmarkoff.qmatrix import LETTERS, M_q, Mat2, mu_q, walk_words
-from qmarkoff.search import (Classification, SearchBoundError,
-                             christoffel_injectivity, classify_pair, collide)
+from qmarkoff.search import (Classification, CollisionGroup, CollisionReport,
+                             SearchBoundError, christoffel_injectivity, classify_pair,
+                             collide)
 from qmarkoff.words import christoffel_words, iter_words, letter_counts
 
 
@@ -480,3 +483,130 @@ def test_census_holds_every_family_instance_classified_directly(census_instances
     "witness finder strips: the census classifies them as chain"))
 def test_census_classifies_the_2M_instances_with_empty_v_directly(census_instances):
     assert [i for i in census_instances["2M"][True] if i[3] in _INDIRECT] == []
+
+
+# A pair's verdict reads only the brackets of its words: the identity-2
+# check never needs the pair's bound |w| <= max(|x|, |y|) // 2, because a
+# decomposition holds one block or more, so 3|w| + base <= |inner|, and the
+# shortest bracketed word a . inner . b (or b inner b) has |inner| + 2 letters.
+
+def _decomposable(map_kind, w, v):
+    """The inner word morphism_w(v) . w, which decomposes at w."""
+    return "".join(search._FAMILY_MAPS[map_kind][1](w)[ch] for ch in v) + w
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_kind=st.sampled_from(["M", "mu"]),
+       inner=st.one_of(
+           st.text("ab", max_size=60),
+           st.tuples(st.text("ab", max_size=10), st.text("abcd", min_size=1, max_size=8))))
+def test_identity2_partners_pass_the_pair_bound(map_kind, inner):
+    base = search._FAMILY_MAPS[map_kind][2]
+    built = isinstance(inner, tuple)
+    if built:
+        inner = _decomposable(map_kind, *inner)
+        assume(len(inner) <= 60)
+    # the inner word is its own mate: every w it ends in is tried
+    table = search._identity2_partners(map_kind, inner, [inner])
+    assert table or not built
+    for partner, (wlen, w, v) in table.items():
+        assert len(partner) == len(inner) and w == inner[len(inner) - wlen:]
+        assert 3 * wlen + base <= len(inner)
+        assert wlen <= (len(inner) + 2) // 2
+
+
+def _by_length(words):
+    return tuple(sorted(set(words), key=lambda w: (len(w), w)))
+
+
+def _with_trailing_a(words, runs=2):
+    """The words and each of them followed by 1..runs more a's, sorted by
+    (length, word): under M, appending an a keeps the 12-entry."""
+    return _by_length(w + "a" * r for w in words for r in range(runs + 1))
+
+
+# Two groups of collide("M", 14) whose words repeat brackets (trailing-a
+# variants): one with identity-2 and identity-1 pairs, one with "both" pairs.
+_IDENTITY2_GROUP = ("baabbababbaab", "babaabbbaabab", "bbabbaaabbabb", "bbbaababaabbb",
+                    "baabbababbaaba", "babaabbbaababa", "bbabbaaabbabba", "bbbaababaabbba")
+_BOTH_GROUP = ("babbaabbab", "bbaabbaabb", "babbaabbaba", "bbaabbaabba", "babbaabbabaa",
+               "bbaabbaabbaa", "babbaabbabaaa", "bbaabbaabbaaa", "babbaabbabaaaa",
+               "bbaabbaabbaaaa")
+_2M_PAIR = identity2_M_words("ab", "ca", 1)
+
+
+@pytest.mark.parametrize("words, collides, kinds", [
+    pytest.param(_with_trailing_a(_IDENTITY2_GROUP), True,
+                 {"identity1", "identity2", "chain"}, id="identity2"),
+    pytest.param(_with_trailing_a(_BOTH_GROUP), True, {"both", "chain"}, id="both"),
+    # not a collision group, which the classifier never checks: one table
+    # holding both kinds in two (k, |inner|) classes, a 2M instance at k = 1
+    # with trailing-a variants, and words with no bracket
+    pytest.param(_by_length([*_with_trailing_a(_IDENTITY2_GROUP + _BOTH_GROUP, 1),
+                             *_with_trailing_a(_2M_PAIR, 1), "aaa", "aba", "abaa"]),
+                 False, {kind.value for kind in Classification}, id="mixed"),
+])
+def test_bracket_table_matches_the_per_pair_reference(words, collides, kinds):
+    assert (len({M_q(w).m12 for w in words}) == 1) == collides
+    assert len({search._bracket("M", w) for w in words}) < len(words)
+    expected = oracle.classify_group("M", words)
+    assert {v[2] for v in expected} == kinds
+    pairs = search._classify_group("M", words).classifications()
+    assert [_verdict(c) for c in pairs] == expected
+    # no two pairs share a witness dict
+    witnesses = [c.witness for c in pairs if c.witness is not None]
+    assert len({id(w) for w in witnesses}) == len(witnesses)
+    # the summary read first tallies from the table, with no pair listed;
+    # it equals the count of each kind over the pairs
+    group = CollisionGroup(M_q(words[0]).m12, words)
+    first = CollisionReport("M", 16, [group], len(words))
+    summary = first.summary()
+    assert summary["pairs"] == len(pairs)
+    for kind in Classification:
+        assert summary[kind.value] == sum(c.kind is kind for c in pairs), kind
+    assert first.w_search_bound == max(c.w_search_bound for c in pairs)
+    assert CollisionReport("M", 16, [group], len(words)).classifications == pairs
+
+
+def test_classify_pair_checks_the_collision_on_packed_entries(monkeypatch):
+    # the 63-letter 2mu pair: m12_equal, with no word product or polynomial
+    x, y = identity2_mu_words("abbab", "acbd")
+    expected = classify_pair(x, y, "mu", require_collision=False)
+    calls = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module in (search, qmatrix):
+        for name in ("M_q", "mu_q", "unpack_poly"):
+            monkeypatch.setattr(module, name, forbidden(f"{module.__name__}.{name}"))
+    assert classify_pair(x, y, "mu") == expected
+    assert expected.kind in (Classification.IDENTITY2, Classification.BOTH)
+    with pytest.raises(ValueError, match="do not share their 12-entry"):
+        classify_pair(x, y + "a", "mu")
+    with pytest.raises(ValueError, match="do not share their 12-entry"):
+        classify_pair("ab", "ba", "M")
+    assert calls == []
+
+
+@pytest.mark.parametrize("map_kind, words", [
+    ("mu", ("aabb", "abab")),   # identity 1, two brackets
+    ("mu", ("aabb", "bbaa")),   # the second word has no bracket
+    ("mu", ("aabb", "aaab")),   # two brackets, unexplained
+    ("M", ("bab", "abb")),      # two classes
+    ("M", ("b", "ba")),         # neither word has a bracket
+    ("M", ("abba", "abbaa")),   # one bracket, identity 1 with itself
+    ("M", ("babb", "babba")),   # one bracket, unexplained
+])
+def test_two_word_group_tallies_match_its_pair(map_kind, words):
+    # not collision groups, which the classifier never checks
+    expected = oracle.classify_group(map_kind, words)
+    group = CollisionGroup(M_q(words[0]).m12, words)
+    summary = CollisionReport(map_kind, 8, [group], 2).summary()
+    pairs = search._classify_group(map_kind, words).classifications()
+    assert [_verdict(c) for c in pairs] == expected
+    assert {kind: n for kind, n in summary.items() if n and kind in
+            {c.value for c in Classification}} == {expected[0][2]: 1}
