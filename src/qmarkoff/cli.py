@@ -7,8 +7,9 @@ failing case, 2 usage or validation error (including a --jobs value that
 is not an integer >= 1), 3 unexplained collision pairs found (evidence
 signal), 4 resource bound hit (``collide`` past its ``--safety-bound``;
 ``residues`` or ``figure2-data`` past ``--max-len`` 14283, the longest
-length whose word count 2^(max_len+1) - 1 Python can print), 141 stdout was
-closed before all of the output was written (e.g. piped into head).
+length whose word count 2^(max_len+1) - 1 Python can print), 130
+interrupted (SIGINT, e.g. Ctrl-C), 141 stdout was closed before all of the
+output was written (e.g. piped into head); neither prints a traceback.
 ``--jobs`` (default 1, read from no environment variable) is accepted by
 every command and changes no output: every command runs in one process.
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EVIDENCE = 3
 EXIT_RESOURCE = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
 
@@ -284,11 +286,14 @@ def _cmd_collide(args: argparse.Namespace) -> int:
                 if c.kind is Classification.UNEXPLAINED:
                     yield f"  UNEXPLAINED: ({c.x or empty}, {c.y or empty})"
 
+    def csv_rows() -> Iterator[list]:
+        for i, g in enumerate(report.groups):
+            poly = str(g.polynomial)  # once per group, not once per word
+            for w in g.words:
+                yield [i, w, len(w), poly]
+
     _emit(args.format, lambda: _collide_json(report),
-          ["group", "word", "length", "polynomial"],
-          ([i, w, len(w), str(g.polynomial)]
-           for i, g in enumerate(report.groups) for w in g.words),
-          human())
+          ["group", "word", "length", "polynomial"], csv_rows(), human())
     if report.has_unexplained:
         print(f"unexplained pairs present (searched w up to length "
               f"{report.w_search_bound})", file=sys.stderr)
@@ -484,6 +489,9 @@ def main(argv: list[str] | None = None) -> int:
         # final flush at exit cannot fail again, and exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -315,8 +315,10 @@ def first_row_step(row: tuple[tuple[int, ...], tuple[int, ...]],
     """
     p, r = row
     for ch in image:
-        # p + r: the shared coefficients summed, then the longer one's tail
-        s = tuple(map(operator.add, p, r)) + (p[len(r):] if len(p) > len(r) else r[len(p):])
+        # p + r: the shared coefficients summed, then the longer one's tail,
+        # as one tuple of its final size; tuple(map(...)) resizes a guessed
+        # one, and the blocks it takes fill the tuple free lists when freed
+        s = (*map(operator.add, p, r), *(p[len(r):] if len(p) > len(r) else r[len(p):]))
         if ch == "a":
             p = (0,) + s
         else:

@@ -11,15 +11,22 @@ entries in N[q], and the limb width is the bit length of
 ``qmatrix.max_entry_at_one``, the largest q = 1 entry of any word up to
 max_len (exact for both maps: F(max_len + 1) for M, an entry of b^max_len
 for mu), which bounds every coefficient: packing is injective.
-Groups are keyed by the packed upper-right entry, unpacked once per group,
-and re-verified afterwards on an independent route: every
-colliding word's 12-entry is recomputed by the same ``walk_words``, pruned
-to the prefixes of the colliding words, carrying only the first row of the
-word's matrix, which holds the 12-entry, as plain coefficient tuples.  Each
-step multiplies that row by the M letters (a mu letter by those of its sigma
-image) through shift and add, with no multiplication
-(``qmatrix.first_row_step``): one step per distinct nonempty prefix.  The
-row's 12-entry is compared with its group polynomial's coefficient tuple.
+Groups are keyed by the packed upper-right entry.  The words that collide
+with nothing are dropped first, and the other buckets are consumed one at a
+time: each is sorted in place and its key unpacked once, so no bucket
+outlives its group.  The groups are re-verified afterwards on an
+independent route: every colliding word's 12-entry is recomputed by the
+same ``walk_words``, pruned to the prefixes of the colliding words, carrying
+only the first row of the word's matrix, which holds the 12-entry, as plain
+coefficient tuples.  Each step multiplies that row by the M letters (a mu
+letter by those of its sigma image) through shift and add, with no
+multiplication (``qmatrix.first_row_step``): one step per distinct nonempty
+prefix.  Given the letters b then a, the walk yields its words in
+lexicographic order and is merged with the sorted colliding words, each
+paired with its group's polynomial by a list aligned with them, so no dict
+of words is built; the row's 12-entry is compared with that polynomial's
+coefficient tuple, and a colliding word the walk never reaches is an error
+as well.  So the search holds little more than the groups it reports.
 
 Inner words cut from validated words go to the unchecked forms of
 ``bar``, ``partner``, ``phi`` and ``psi``, which skip ``require_word``.
@@ -87,7 +94,7 @@ class PairClassification(NamedTuple):
                 "witness": self.witness, "w_search_bound": self.w_search_bound}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionGroup:
     polynomial: LaurentPoly
     words: tuple[str, ...]
@@ -194,11 +201,13 @@ class CollisionReport:
 #: Peak resident bytes per searched word of ``qmarkoff collide``, classify and
 #: JSON output included: the rise in peak RSS from one --max-len to the next
 #: over the words it adds (Python 3.11, x86-64, JSON streamed to /dev/null),
-#: rounded up past every slope measured from 12 to 16 (M 260-330, mu
-#: 530-860 bytes: the buckets' dict grows in steps).  The pairs are classified
-#: and written one group at a time, so the peak is the scan's: mu costs more
-#: because its limbs, and so its packed entries, are wider.
-_BYTES_PER_WORD = {"M": 400, "mu": 900}
+#: rounded up past every slope measured from 12 to 17 (M 163-219, mu
+#: 276-512 bytes, rising with the length as the entries widen).  The pairs
+#: are classified and written one group at a time, and the buckets are
+#: consumed as the groups are built, so the peak is the scan's buckets or
+#: the groups: mu costs more because its limbs, and so its packed entries
+#: and coefficients, are wider.
+_BYTES_PER_WORD = {"M": 300, "mu": 600}
 
 
 class SearchBoundError(RuntimeError):
@@ -464,36 +473,47 @@ def _find(parent: list[int], i: int) -> int:
 def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     """Bucket soundness: recompute the 12-entry of every colliding word on
     an exact route independent of packing, and raise AssertionError naming a
-    word whose entry differs from its group's.
+    word whose entry differs from its group's, or one the walk never reaches.
 
     The route carries the first row (p, r) of the word's matrix as plain
     coefficient tuples, whose second entry is the 12-entry, and steps it
     through the M letters by shift and add (``qmatrix.first_row_step``; a mu
     letter through its sigma image, since mu = M o sigma).  The entry is
-    compared with the group polynomial's coefficient tuple from q^0 up,
-    built once per group: neither side has trailing zeros, so tuple
-    equality is polynomial equality.  ``walk_words`` is pruned to the
-    prefixes of the colliding words, so it reaches every colliding word and
+    compared with the group polynomial's coefficients from q^0 up: neither
+    side has trailing zeros, so tuple equality is polynomial equality.
+    ``walk_words`` is pruned to the prefixes of the colliding words, so it
     costs one row step per distinct nonempty prefix; a prefix is recognised
-    by a binary search of the sorted words, with no set of prefixes built."""
-    expected = {}
+    by a binary search of the sorted words.  Given the letters b then a, the
+    walk yields its words in lexicographic order, so it is merged with the
+    sorted colliding words, each paired with its group's polynomial by a
+    list aligned with them (each word placed by a binary search), and no
+    dict of words is built.  Every colliding word must be reached: one that
+    the walk passes without yielding raises as well."""
+    # each colliding word with its group's polynomial, in lexicographic order
+    words = sorted([w for g in groups for w in g.words])
+    polys = [None] * len(words)
     for g in groups:
-        poly = g.polynomial
-        # the polynomial's coefficients from q^0 up, as r holds them; a
-        # negative exponent matches no r (None)
-        row = (0,) * poly.min_degree + poly.coefficients if poly.min_degree >= 0 else None
-        expected.update(dict.fromkeys(g.words, row))
-    words = sorted(expected)
+        for w in g.words:
+            polys[bisect_left(words, w)] = g.polynomial
 
     def keep(prefix: str) -> bool:
         # the words starting with prefix, if any, follow it in sorted order
         i = bisect_left(words, prefix)
         return i < len(words) and words[i].startswith(prefix)
 
+    # the walk pops the last letter pushed first: b then a walks a's subtree first
+    letters = dict(reversed(IMAGES[map_kind].items()))
     longest = max(map(len, words), default=0)
-    for w, (_, r) in walk_words(IMAGES[map_kind], ((1,), ()), longest, keep, first_row_step):
-        if w in expected and r != expected[w]:
-            raise AssertionError(f"packed bucket mismatch for word {w!r}")
+    n, i = len(words), 0
+    for w, (_, r) in walk_words(letters, ((1,), ()), longest, keep, first_row_step):
+        if i < n and w == words[i]:
+            poly = polys[i]
+            # a negative exponent matches no r
+            if poly.min_degree < 0 or r != (0,) * poly.min_degree + poly.coefficients:
+                raise AssertionError(f"packed bucket mismatch for word {w!r}")
+            i += 1
+    if i < n:  # the walk passed words[i] without yielding it
+        raise AssertionError(f"bucket soundness walk never reached word {words[i]!r}")
 
 
 def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
@@ -503,14 +523,16 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
     The scan is one in-process ``walk_words`` that buckets every word by its
     packed 12-entry: one ``packed_step`` per word from its parent's first
     row, by shift and add, with limbs of the bit length of
-    ``max_entry_at_one`` and no matrix product.  Every word of a group of two or more is then
-    checked by ``_verify_groups``, a second ``walk_words`` pruned to the
+    ``max_entry_at_one`` and no matrix product.  The groups are built by
+    consuming the buckets, so none outlives its group.  Every word of a
+    group of two or more is then checked by ``_verify_groups``, a second ``walk_words`` pruned to the
     prefixes of the colliding words, on the first row of the word's matrix
     stepped by shift and add: one row step per distinct nonempty prefix.  A
-    word whose entry differs from its group's raises AssertionError naming
-    it.  The report classifies the pairs when they are read, one
-    ``_classify_group`` table per group, chains included
-    (``CollisionReport.group_tables``); ``classify=False`` reports none.
+    word whose entry differs from its group's, or that the walk never
+    reaches, raises AssertionError naming it.  The report classifies the
+    pairs when they are read, one ``_classify_group`` table per group,
+    chains included (``CollisionReport.group_tables``); ``classify=False``
+    reports none.
 
     Deterministic: group words are sorted by (length, lexicographic) and the
     groups by their first word.
@@ -528,16 +550,19 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
         buckets.setdefault(row[1], []).append(w)
     words_searched = sum(len(ws) for ws in buckets.values())
 
+    # the words that collide with nothing are dropped first, and the other
+    # buckets are consumed as the groups are built: no bucket outlives its group
+    buckets = {key: ws for key, ws in buckets.items() if len(ws) > 1}
     groups = []
-    for key, ws in buckets.items():
-        if len(ws) < 2:
-            continue
-        ws = sorted(ws, key=lambda w: (len(w), w))
-        poly = unpack_poly(key, shift)
+    while buckets:
+        key, ws = buckets.popitem()
+        ws.sort()
+        ws.sort(key=len)  # stable: by (length, lexicographic)
         if map_kind == "mu" and len({letter_counts(w) for w in ws}) != 1:
             # the zeta_6 image pins both letter counts, so this cannot happen
             raise AssertionError(f"mu collision group mixes letter counts: {ws}")
-        groups.append(CollisionGroup(poly, tuple(ws)))
+        groups.append(CollisionGroup(unpack_poly(key, shift), tuple(ws)))
+    del buckets  # emptied by popitem, the dict still holds its table
     groups.sort(key=lambda g: (len(g.words[0]), g.words[0]))
     _verify_groups(map_kind, groups)
     return CollisionReport(map_kind, max_len, groups, words_searched, classify)

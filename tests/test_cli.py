@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -259,14 +260,19 @@ def test_verify_identities_rejects_negative_counts(capsys, flag):
     assert f"{flag} must be >= 0" in err
 
 
-def _close_stdout_after_first_line(*argv):
-    """Run the CLI with stdout a pipe closed after its first line; return
-    that line, the exit code and stderr."""
+def _start_cli(*argv):
+    """Start the CLI in a child process, with stdout and stderr pipes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "qmarkoff.cli", *argv],
+    return subprocess.Popen([sys.executable, "-m", "qmarkoff.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def _close_stdout_after_first_line(*argv):
+    """Run the CLI with stdout a pipe closed after its first line; return
+    that line, the exit code and stderr."""
+    proc = _start_cli(*argv)
     try:
         line = proc.stdout.readline()
         proc.stdout.close()
@@ -294,6 +300,41 @@ def test_closed_stdout_exits_without_traceback_mid_stream():
     assert line == b"{\n"
     assert code == 141
     assert "Traceback" not in err
+
+
+def test_interrupt_exits_130_without_traceback():
+    # census-M writes 18.8 MB of JSON: with the pipe unread, it is still
+    # writing when the signal comes
+    proc = _start_cli("collide", "--map", "M", "--max-len", "14")
+    try:
+        first = proc.stdout.read(1)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == b"{"
+    assert proc.returncode == 130
+    assert err.decode().splitlines() == ["interrupted"]
+
+
+def test_collide_csv_renders_each_polynomial_once(capsys, monkeypatch):
+    rendered = []
+
+    def counting_str(poly):
+        rendered.append(poly)
+        return to_text(poly)
+
+    to_text = LaurentPoly.__str__
+    monkeypatch.setattr(LaurentPoly, "__str__", counting_str)
+    code, out, _ = run_cli(capsys, "collide", "--map", "M", "--max-len", "10",
+                           "--format", "csv")
+    groups = collide("M", 10, classify=False).groups
+    assert code == 3
+    assert len(rendered) == len(groups)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows == [[str(i), w, str(len(w)), to_text(g.polynomial)]
+                    for i, g in enumerate(groups) for w in g.words]
 
 
 @pytest.mark.parametrize("map_kind", ["M", "mu"])

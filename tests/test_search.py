@@ -159,8 +159,8 @@ def test_safety_bound_refusal():
         collide("mu", 6, safety_bound=5)
     assert "safety bound" in str(err.value)
     # the estimate uses the measured per-word figure of each map
-    assert "roughly 28 MiB" in str(SearchBoundError(14, 13, "mu"))
-    assert "roughly 12 MiB" in str(SearchBoundError(14, 13, "M"))
+    assert "roughly 18 MiB" in str(SearchBoundError(14, 13, "mu"))
+    assert "roughly 9 MiB" in str(SearchBoundError(14, 13, "M"))
     # raising the bound permits the same search
     assert collide("mu", 6, safety_bound=6).words_searched == 2 ** 7 - 1
 
@@ -253,6 +253,49 @@ def test_bucket_soundness_check_makes_one_product_per_prefix(monkeypatch):
     search._verify_groups("mu", groups)
     assert len(steps) == len(prefixes) < 2 ** 11 - 1
     assert sorted(walked) == sorted(prefixes | {""})
+
+
+def _lexicographic_words(groups):
+    return sorted(w for g in groups for w in g.words)
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_bucket_soundness_check_names_a_wrong_entry_at_either_end(map_kind, position):
+    # the word moves to a group of its own with a wrong polynomial: the
+    # merge must pair it with that entry, at either end of the sorted words
+    groups = collide(map_kind, 10, classify=False).groups
+    word = _lexicographic_words(groups)[position]
+    tampered = []
+    for g in groups:
+        if word in g.words:
+            tampered.append(CollisionGroup(g.polynomial, tuple(w for w in g.words if w != word)))
+            tampered.append(CollisionGroup(g.polynomial + 1, (word,)))
+        else:
+            tampered.append(g)
+    search._verify_groups(map_kind, groups)
+    with pytest.raises(AssertionError, match=f"packed bucket mismatch for word {word!r}$"):
+        search._verify_groups(map_kind, tampered)
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_bucket_soundness_check_names_a_colliding_word_the_walk_skips(monkeypatch, map_kind,
+                                                                      position):
+    groups = collide(map_kind, 10, classify=False).groups
+    words = _lexicographic_words(groups)
+    skipped = words[{"first": 0, "middle": len(words) // 2, "last": -1}[position]]
+
+    def skipping_walk(*args):
+        # the word and its subtree are never yielded
+        for w, row in walk_words(*args):
+            if not w.startswith(skipped):
+                yield w, row
+
+    walk_words = search.walk_words
+    monkeypatch.setattr(search, "walk_words", skipping_walk)
+    with pytest.raises(AssertionError, match=f"never reached word {skipped!r}$"):
+        search._verify_groups(map_kind, groups)
 
 
 @pytest.mark.parametrize("map_kind, max_len", [("M", 10), ("mu", 12)])
