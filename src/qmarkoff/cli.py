@@ -8,10 +8,20 @@ is not an integer >= 1), 3 unexplained collision pairs found (evidence
 signal), 4 resource bound hit (``collide`` past its ``--safety-bound``;
 ``residues`` or ``figure2-data`` past ``--max-len`` 14283, the longest
 length whose word count 2^(max_len+1) - 1 Python can print), 130
-interrupted (SIGINT, e.g. Ctrl-C), 141 stdout was closed before all of the
-output was written (e.g. piped into head); neither prints a traceback.
+interrupted (SIGINT, e.g. Ctrl-C, also while the arguments are parsed), 141
+stdout was closed before all of the output was written (e.g. piped into
+head); neither prints a traceback.  ``markoff --depth`` below 0 is a
+validation error (exit 2), while ``markoff --up-to`` below 1 prints the
+empty list and exits 0: no Markoff number is that small.
 ``--jobs`` (default 1, read from no environment variable) is accepted by
 every command and changes no output: every command runs in one process.
+
+Each command loads only the modules it runs.  This module loads
+``identities`` (with ``laurent``, ``qmatrix`` and ``words``); ``search``,
+``cyclotomic``, ``markoff``, ``csv``, ``json`` and ``random`` are imported by
+the commands and writers that use them, so ``residues`` never loads the
+collision search, and neither ``collide`` nor ``verify-identities`` loads
+the cyclotomic layer.
 
 ``collide`` writes its JSON in chunks as it renders them, straight from the
 report's objects, classifying and writing the pairs one group at a time
@@ -27,23 +37,21 @@ exit code, which the table's tallies give with no pass over the pairs.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
-import random
 import sys
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .cyclotomic import (ResidueBoundError, cone_of, eval_cyclotomic, figure2_rows,
-                         monoid_closure, recover_counts, residue_relation_check)
+# identities loads only laurent, qmatrix and words, which most commands use
+# anyway; search, cyclotomic, markoff, csv, json and random are imported by
+# the commands and writers that use them
 from .identities import FAMILIES, alternating_words, delta, verify_family
-from .markoff import markoff_numbers, markoff_numbers_up_to
 from .qmatrix import M_q, mu_q
-from .search import (Classification, CollisionGroup, CollisionReport, GroupTable,
-                     SearchBoundError, collide)
-from .words import (BINARY, EXTENDED, christoffel_words, letter_counts,
+from .words import (BINARY, EXTENDED, BoundError, christoffel_words, letter_counts,
                     require_word, stern_brocot_fraction)
+
+if TYPE_CHECKING:
+    from .search import CollisionGroup, CollisionReport, GroupTable
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +59,21 @@ EXIT_EVIDENCE = 3
 EXIT_RESOURCE = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
+
+
+# collide and residues call their computation through these module
+# attributes (the benchmark's traced run wraps them here); each imports its
+# module on first call.
+def collide(*args, **kwargs):
+    """``search.collide``."""
+    from .search import collide
+    return collide(*args, **kwargs)
+
+
+def residue_relation_check(*args, **kwargs):
+    """``cyclotomic.residue_relation_check``."""
+    from .cyclotomic import residue_relation_check
+    return residue_relation_check(*args, **kwargs)
 
 
 def _json_writer() -> Callable[[object, str], str]:
@@ -66,6 +89,8 @@ def _json_writer() -> Callable[[object, str], str]:
     str, int, bool or None goes to ``json.dumps``, which writes leaves as the
     indented encoder does.
     """
+    import json
+
     encode = json.encoder.encode_basestring_ascii
     key_heads: dict[str, str] = {}
 
@@ -126,6 +151,10 @@ def _collide_json(report: CollisionReport) -> Iterator[str]:
     its polynomial's coefficients and its words.  So neither the dict tree,
     the whole text nor the list of pairs is ever built; the groups go a
     chunk of at most 512 at a time."""
+    import json
+
+    from .search import Classification
+
     render = _json_writer()
     encode = json.encoder.encode_basestring_ascii
     group_text = ('{\n      "polynomial": {\n        "coeffs": %s,\n        "min_degree": %d'
@@ -218,6 +247,8 @@ def _emit(fmt: str, json_of: Callable[[], object], header: list[str],
         else:
             print(_json_text(value))
     elif fmt == "csv" or human is None:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -252,6 +283,8 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .cyclotomic import cone_of, eval_cyclotomic, recover_counts
+
     word = require_word(args.word, BINARY)
     poly = mu_q(word).m12
     value = eval_cyclotomic(poly, args.k)
@@ -272,6 +305,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_collide(args: argparse.Namespace) -> int:
+    from .search import Classification
+
     report = collide(args.map, args.max_len, safety_bound=args.safety_bound,
                      classify=not args.no_classify)
 
@@ -302,6 +337,8 @@ def _cmd_collide(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
+    import random
+
     for name in ("cases", "max_w", "max_v", "max_kmn"):
         if getattr(args, name) < 0:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 0")
@@ -343,6 +380,8 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
+    from .cyclotomic import monoid_closure
+
     result = monoid_closure(args.k, args.scaled, cap=args.cap)
     state = f"finite with {result.size} elements" if result.finite \
         else f"exceeded cap {result.cap}"
@@ -372,6 +411,8 @@ def _cmd_residues(args: argparse.Namespace) -> int:
 
 
 def _cmd_markoff(args: argparse.Namespace) -> int:
+    from .markoff import markoff_numbers, markoff_numbers_up_to
+
     nums = (markoff_numbers(args.depth) if args.up_to is None
             else markoff_numbers_up_to(args.up_to))
     _emit(args.format, lambda: [str(n) for n in nums], ["markoff_number"],
@@ -380,6 +421,8 @@ def _cmd_markoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from .cyclotomic import figure2_rows
+
     rows = figure2_rows(args.max_len)
     _emit(args.format,
           lambda: [{"residue_class": r, "coords": list(coords),
@@ -474,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # argparse's SystemExit (usage errors, --help, --version) passes through
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SearchBoundError, ResidueBoundError) as exc:
+    except BoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, TypeError) as exc:

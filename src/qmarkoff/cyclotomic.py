@@ -6,12 +6,15 @@ All geometry is done by exact integer linear algebra in the basis
 {1, zeta_6}; no floating point is ever consulted for a classification.
 
 The residue check walks states, not words: a word's state is its mu matrix
-at zeta_k paired with its q = 1 mu matrix mod k, and the mu letters generate
-a finite monoid at zeta_k (6, 24, 48 and 600 elements for k = 2..5).  One
-breadth-first walk (``_walk_states``) finds these states for the residue
-check and the elements for ``monoid_closure``; the words behind a violating
-state are listed by a walk that visits only prefixes leading to one
-(``_words_reaching``).
+at zeta_k together with its q = 1 mu matrix mod k, and the mu letters
+generate a finite monoid at zeta_k (6, 24, 48 and 600 elements for
+k = 2..5).  One breadth-first walk (``_walk_states``) finds these states for
+the residue check and the elements for ``monoid_closure``; the words behind
+a violating state are listed by a walk that visits only prefixes leading to
+one (``_words_reaching``).  The closure multiplies ``Mat2`` over ``CycInt``;
+the residue check steps a state as one flat tuple of ints, each row of its
+zeta_k matrix through a fixed integer matrix per letter (``_row_map``), so
+that walk makes no ``CycInt`` and no ``Mat2``.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .laurent import LaurentPoly, format_terms
 from .qmatrix import LETTERS, LETTERS_AT_ONE, MU_A, MU_B, Mat2
+from .words import BoundError
 
 _DEGREE = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2}
 # x**deg reduced: constant-first coefficient rows of the minimal polynomials
@@ -274,8 +277,7 @@ def recover_counts(z: CycInt) -> Optional[tuple[int, int]]:
     return (n - s, s)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """Outcome of a monoid closure computation under a size cap."""
 
     k: int
@@ -350,7 +352,7 @@ def monoid_closure(k: int, scaled: bool, cap: int = 10_000) -> ClosureResult:
 MAX_RESIDUE_LEN = 14_283
 
 
-class ResidueBoundError(RuntimeError):
+class ResidueBoundError(BoundError):
     """Raised, before any work, for a residue check past ``MAX_RESIDUE_LEN``."""
 
 
@@ -368,8 +370,8 @@ _RESIDUE_CLASSES = {
         (-1, 1): frozenset({2}), (-1, -1): frozenset({2})},
 }
 
-@dataclass(frozen=True)
-class ResidueReport:
+
+class ResidueReport(NamedTuple):
     """Comparison of q=1 entries modulo k with the zeta_k evaluations."""
 
     k: int
@@ -396,22 +398,53 @@ class ResidueReport:
         return data
 
 
+def _row_map(g: Mat2, k: int) -> list[tuple[int, ...]]:
+    """Right multiplication by ``g``, a matrix over Z[zeta_k], on one row
+    (x, y) of a matrix over Z[zeta_k], as an integer matrix on the row's
+    2 deg coordinates (those of x, then of y): one tuple of weights on them
+    per coordinate of (x g11 + y g21, x g12 + y g22).  The weights are the
+    products of each basis element 1, zeta, ..., zeta^(deg-1) with the
+    entries of ``g``."""
+    deg = _DEGREE[k]
+    basis = _POWERS[k][:deg]
+    g11, g12, g21, g22 = (z.coords for z in g.entries())
+    weights = []
+    for column in ((g11, g21), (g12, g22)):
+        images = [_mul_coords(u, c, k) for c in column for u in basis]
+        weights += [tuple(image[t] for image in images) for t in range(deg)]
+    return weights
+
+
 def _residue_states(k: int, max_len: int) -> tuple[list, list]:
     """``_walk_states`` of the words of length <= max_len, where a word's
-    state pairs its mu matrix at zeta_k (over ``CycInt``) with its q = 1 mu
-    matrix reduced mod k (over int).
+    state is one tuple of ints: the coordinates of its mu matrix at zeta_k,
+    entry by entry in row-major order (4 deg of them), then its q = 1 mu
+    matrix reduced mod k, row-major (4 of them).
 
     Both are ring maps of the word product, so the state of w + c is the
     state of w times that of c, and the states are finitely many for
-    k = 2..5: the walk costs two matrix products per state and letter at
-    any max_len.
+    k = 2..5.  A step multiplies each row of the zeta_k matrix by the
+    letter's ``_row_map`` and the q = 1 matrix by the letter's q = 1 matrix,
+    once per state and letter at any max_len, on plain ints.
     """
-    mod_k = k.__rmod__  # x -> x % k
-    letters = [(evaluate_matrix(g, k), LETTERS_AT_ONE["mu"][ch].map(mod_k))
+    deg = _DEGREE[k]
+    row, entries = 2 * deg, 4 * deg  # coordinates of one row, of the matrix
+    letters = [(_row_map(evaluate_matrix(g, k), k), LETTERS_AT_ONE["mu"][ch].entries())
                for ch, g in LETTERS["mu"].items()]
-    start = (Mat2.identity(CycInt.one(k), CycInt.zero(k)), Mat2.identity(1, 0))
-    return _walk_states(start, letters,
-                        lambda s, g: (s[0] * g[0], (s[1] * g[1]).map(mod_k)), max_len)
+    one, zero = _POWERS[k][0], (0,) * deg
+    start = (*one, *zero, *zero, *one, 1, 0, 0, 1)
+    mul = operator.mul
+
+    def times(state: tuple[int, ...], letter) -> tuple[int, ...]:
+        weights, (e, f, g, h) = letter
+        top, bottom = state[:row], state[row:entries]
+        a, b, c, d = state[entries:]
+        return (*[sum(map(mul, w, top)) for w in weights],
+                *[sum(map(mul, w, bottom)) for w in weights],
+                (a * e + b * g) % k, (a * f + b * h) % k,
+                (c * e + d * g) % k, (c * f + d * h) % k)
+
+    return _walk_states(start, letters, times, max_len)
 
 
 def _words_reaching(targets: set, step: list, max_len: int) -> list[str]:
@@ -458,15 +491,19 @@ def residue_relation_check(k: int, max_len: int) -> ResidueReport:
                                 "length whose word count 2^(max_len+1) - 1 can be printed")
     states, step = _residue_states(k, max_len)
     checked = (1 << (max_len + 1)) - 1
+    # a state's 12-entries: coordinates at zeta_k, and the value at q = 1 mod k
+    deg = _DEGREE[k]
+    m12 = slice(deg, 2 * deg)
+    m12_mod_k = 4 * deg + 1
     table = _RESIDUE_CLASSES.get(k)
     if table is not None:
-        bad = {i for i, (z, r) in enumerate(states)
-               if r.m12 not in table.get(z.m12.coords, ())}
+        bad = {i for i, s in enumerate(states)
+               if s[m12_mod_k] not in table.get(s[m12], ())}
         violations = _words_reaching(bad, step, max_len)
         return ResidueReport(k, max_len, checked, tuple(violations))
     partition: dict[int, set] = {}
-    for z, r in states:
-        partition.setdefault(r.m12, set()).add(z.m12.coords)
+    for s in states:
+        partition.setdefault(s[m12_mod_k], set()).add(s[m12])
     sizes = {r: len(vals) for r, vals in partition.items()}
     all_values = set().union(*partition.values())
     disjoint = sum(sizes.values()) == len(all_values)

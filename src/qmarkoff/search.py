@@ -63,15 +63,14 @@ from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .cyclotomic import eval_cyclotomic
 from .identities import _partner, _phi, _psi
 from .laurent import LaurentPoly
 # M_q and mu_q are not called here: they stay importable as search.M_q and
 # search.mu_q, which perfbench/traced.py hooks
 from .qmatrix import (IMAGES, M_q, Mat2, first_row_step, m12_equal, max_entry_at_one,
                       mu_q, packed_step, unpack_poly, walk_words)
-from .words import (BINARY, _bar, apply_morphism, christoffel_fold, letter_counts,
-                    mirror, require_word)
+from .words import (BINARY, BoundError, _bar, apply_morphism, christoffel_fold,
+                    letter_counts, mirror, require_word)
 
 
 class Classification(str, Enum):
@@ -210,7 +209,7 @@ class CollisionReport:
 _BYTES_PER_WORD = {"M": 300, "mu": 600}
 
 
-class SearchBoundError(RuntimeError):
+class SearchBoundError(BoundError):
     """Raised when a search would exceed the configured safety bound.
 
     The memory estimate uses the measured figure of ``map_kind``; the default,
@@ -603,6 +602,8 @@ def christoffel_injectivity(max_len: int) -> InjectivityReport:
     the word count.  Packing is injective, so the packed entries are
     compared directly.
     """
+    from .cyclotomic import eval_cyclotomic  # only this experiment needs it
+
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     shift = max(max_entry_at_one("mu", max_len).bit_length(), 1)

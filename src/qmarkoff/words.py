@@ -31,6 +31,12 @@ def require_word(w: str, alphabet: str = BINARY) -> str:
     return w
 
 
+class BoundError(RuntimeError):
+    """Raised before any work when a word length is past a command's resource
+    bound; the base of every such error, so the command line can map them all
+    to one exit code without importing the modules that raise them."""
+
+
 def letter_counts(w: str) -> tuple[int, int]:
     """Return (number of a's, number of b's)."""
     return w.count("a"), w.count("b")

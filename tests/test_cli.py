@@ -318,6 +318,29 @@ def test_interrupt_exits_130_without_traceback():
     assert err.decode().splitlines() == ["interrupted"]
 
 
+def test_interrupt_while_parsing_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_parser", interrupted)
+    assert run_cli(capsys, "residues", "--k", "5") == (130, "", "interrupted\n")
+
+
+def test_bound_errors_share_one_base(monkeypatch):
+    from qmarkoff.words import BoundError
+
+    assert issubclass(search.SearchBoundError, BoundError)
+    assert issubclass(cyclotomic.ResidueBoundError, BoundError)
+
+    # exit 4 is for bound errors only: any other RuntimeError is a fault
+    def recursing(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "residue_relation_check", recursing)
+    with pytest.raises(RecursionError):
+        main(["residues", "--k", "5"])
+
+
 def test_collide_csv_renders_each_polynomial_once(capsys, monkeypatch):
     rendered = []
 

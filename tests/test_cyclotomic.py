@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from qmarkoff import cyclotomic
 from qmarkoff.cli import main
 from qmarkoff.cyclotomic import (ClosureResult, CycInt, ResidueReport, _residue_states,
-                                 closed_form_mu_zeta6, cone_of, entry12_zeta6, eval_cyclotomic,
-                                 evaluate_matrix, figure2_rows, monoid_closure,
-                                 recover_counts, residue_relation_check)
+                                 _walk_states, closed_form_mu_zeta6, cone_of, entry12_zeta6,
+                                 eval_cyclotomic, evaluate_matrix, figure2_rows,
+                                 monoid_closure, recover_counts, residue_relation_check)
 from qmarkoff.laurent import LaurentPoly
-from qmarkoff.qmatrix import LETTERS, MU_A, MU_B, Mat2, mu_q, walk_words
+from qmarkoff.qmatrix import LETTERS, LETTERS_AT_ONE, MU_A, MU_B, Mat2, mu_q, walk_words
 from qmarkoff.words import iter_words
 
 small_polys = st.builds(
@@ -269,6 +269,35 @@ def laurent_residues_to_12():
             for k in (2, 3, 4, 5)}
 
 
+def _degree(k):
+    return len(CycInt.one(k).coords)
+
+
+def _state_m12(state, k):
+    """(q = 1 value mod k, coordinates at zeta_k) of the 12-entry of a flat
+    residue state: the 4 deg coordinates of the zeta_k matrix, entry by
+    entry, then the q = 1 matrix mod k, both row-major."""
+    deg = _degree(k)
+    assert len(state) == 4 * deg + 4
+    return state[4 * deg + 1], state[deg:2 * deg]
+
+
+def _cycint_residue_states(k, max_len):
+    """The residue walk on ``Mat2`` over ``CycInt`` (and over int mod k at
+    q = 1), its states flattened to the layout of ``_residue_states``."""
+    def mod_k(x):
+        return x % k
+
+    letters = [(evaluate_matrix(g, k), LETTERS_AT_ONE["mu"][ch])
+               for ch, g in LETTERS["mu"].items()]
+    start = (Mat2.identity(CycInt.one(k), CycInt.zero(k)), Mat2.identity(1, 0))
+    states, step = _walk_states(start, letters,
+                                lambda s, g: (s[0] * g[0], (s[1] * g[1]).map(mod_k)),
+                                max_len)
+    return [(*(c for z in zeta_k.entries() for c in z.coords), *at_one.entries())
+            for zeta_k, at_one in states], step
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_packed_residue_walk_matches_laurent_route(laurent_residues_to_12, k):
     # every word, stepped letter by letter through the state machine, lands
@@ -280,8 +309,7 @@ def test_packed_residue_walk_matches_laurent_route(laurent_residues_to_12, k):
         i = 0
         for ch in w:
             i = step[i]["ab".index(ch)]
-        zeta_k, mod_k = states[i]
-        assert (mod_k.m12, zeta_k.m12.coords) == (at_one, coords), w
+        assert _state_m12(states[i], k) == (at_one, coords), w
     for max_len in range(13):
         assert residue_relation_check(k, max_len) == \
             _brute_force_report(entries, k, max_len), max_len
@@ -310,7 +338,17 @@ def test_residue_violations_match_brute_force(monkeypatch, laurent_residues_to_1
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_residue_states_cover_the_finite_monoid(k):
     states, _ = _residue_states(k, 60)
-    assert len({zeta_k for zeta_k, _ in states}) == monoid_closure(k, scaled=False).size
+    zeta_k = 4 * _degree(k)  # the coordinates of the matrix at zeta_k
+    assert len({s[:zeta_k] for s in states}) == monoid_closure(k, scaled=False).size
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_flat_residue_walk_matches_the_cycint_route(k):
+    # the same states in the same order, and the same step table, as the walk
+    # that multiplies Mat2 over CycInt, at lengths short of and past the point
+    # where every state has been found
+    for max_len in (0, 1, 2, 3, 7, 16, 40):
+        assert _residue_states(k, max_len) == _cycint_residue_states(k, max_len), max_len
 
 
 def test_residue_check_holds_at_length_200(capsys):
