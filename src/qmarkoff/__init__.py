@@ -39,28 +39,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BINARY", "EXTENDED", "SIGMA", "TAU",
-    "LaurentPoly", "Mat2", "QMatrix", "CycInt", "walk_words",
-    "L_Q", "R_Q", "Q_Q", "Q_Q_INV", "S_MAT", "MU_A", "MU_B",
-    "M_q", "mu_q", "m12_equal", "char_poly_scaled_a",
-    "mirror", "bar", "is_palindrome", "apply_morphism", "letter_counts",
-    "christoffel_words", "christoffel_tree", "christoffel_fold",
-    "stern_brocot_fraction", "iter_words",
-    "eval_cyclotomic", "evaluate_matrix", "closed_form_mu_zeta6", "entry12_zeta6",
-    "cone_of", "recover_counts", "monoid_closure", "ClosureResult",
-    "residue_relation_check", "ResidueReport", "figure2_rows",
-    "partner", "phi", "psi", "eta", "eta_prime", "delta", "alternating_words",
-    "FAMILIES", "verify_family", "verify_identity1_M", "verify_identity1_mu",
-    "verify_identity2_M", "verify_identity2_mu",
-    "identity1_M_words", "identity1_mu_words",
-    "identity2_M_words", "identity2_mu_words",
-    "MarkoffTriple", "triple_children", "markoff_numbers",
-    "markoff_numbers_up_to", "christoffel_entry_values",
-    "collide", "classify_pair", "christoffel_injectivity",
-    "Classification", "CollisionGroup", "CollisionReport",
-    "PairClassification", "InjectivityReport", "SearchBoundError",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 
 def __getattr__(name: str) -> object:

@@ -4,10 +4,11 @@ One binary with subcommands; JSON output is byte-deterministic for identical
 invocations, all big integers are emitted as decimal strings, and CSV comes
 with a header row.  Exit codes: 0 success, 1 verify-identities found a
 failing case, 2 usage or validation error (including a --jobs value that
-is not an integer >= 1), 3 unexplained collision pairs found (evidence
-signal), 4 resource bound hit (``collide`` past its ``--safety-bound``;
-``residues`` or ``figure2-data`` past ``--max-len`` 14283, the longest
-length whose word count 2^(max_len+1) - 1 Python can print), 130
+is not an integer >= 1 and a negative ``collide --safety-bound``), 3
+unexplained collision pairs found (evidence signal), 4 resource bound hit
+(``collide`` past its ``--safety-bound``; ``residues`` or ``figure2-data``
+past ``--max-len`` 14283, the longest length whose word count
+2^(max_len+1) - 1 Python can print), 130
 interrupted (SIGINT, e.g. Ctrl-C, also while the arguments are parsed), 141
 stdout was closed before all of the output was written (e.g. piped into
 head); neither prints a traceback.  ``markoff --depth`` below 0 is a

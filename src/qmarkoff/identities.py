@@ -20,7 +20,7 @@ from .laurent import ZERO, LaurentPoly
 # mu_q is not called here: it stays importable as identities.mu_q, which
 # perfbench/traced.py hooks
 from .qmatrix import M_q, m12_equal, mu_q
-from .words import (BINARY, EXTENDED, _bar, apply_morphism, bar, mirror,
+from .words import (BINARY, EXTENDED, apply_morphism, bar, iter_words, mirror,
                     require_word)
 
 #: Two-letter refinement of the extended alphabet: the image alternates one
@@ -33,22 +33,12 @@ _PARTNER_TABLE = str.maketrans("ab", "ba")
 
 def partner(v: str) -> str:
     """Reverse v and exchange a with b, leaving c and d fixed."""
-    return _partner(require_word(v, EXTENDED))
-
-
-def _partner(v: str) -> str:
-    """``partner`` of a word already known to be over the extended alphabet."""
-    return v[::-1].translate(_PARTNER_TABLE)
+    return require_word(v, EXTENDED)[::-1].translate(_PARTNER_TABLE)
 
 
 def phi(w: str) -> dict[str, str]:
     """Letter images of the first four-letter morphism with parameter w."""
-    return _phi(require_word(w, BINARY))
-
-
-def _phi(w: str) -> dict[str, str]:
-    """``phi`` of a word already known to be binary."""
-    bw = _bar(w)
+    bw = bar(require_word(w, BINARY))
     return {
         "a": w + "abba" + bw + "abba",
         "b": w + "baab" + bw + "baab",
@@ -59,12 +49,7 @@ def _phi(w: str) -> dict[str, str]:
 
 def psi(w: str) -> dict[str, str]:
     """Letter images of the second four-letter morphism with parameter w."""
-    return _psi(require_word(w, BINARY))
-
-
-def _psi(w: str) -> dict[str, str]:
-    """``psi`` of a word already known to be binary."""
-    mw = mirror(w)
+    mw = mirror(require_word(w, BINARY))
     return {
         "a": w + "ab" + mw + "ab",
         "b": w + "ba" + mw + "ba",
@@ -174,8 +159,4 @@ def delta(w: str, v: str) -> LaurentPoly:
 
 def alternating_words(max_pairs: int) -> Iterator[str]:
     """All words in ({a,b}{c,d})^j for j = 0..max_pairs, shortest first."""
-    units = [x + y for x in "ab" for y in "cd"]
-    frontier = [""]
-    for _ in range(max_pairs + 1):
-        yield from frontier
-        frontier = [w + u for w in frontier for u in units]
+    return iter_words([x + y for x in "ab" for y in "cd"], max_pairs)

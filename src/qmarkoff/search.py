@@ -28,9 +28,6 @@ of words is built; the row's 12-entry is compared with that polynomial's
 coefficient tuple, and a colliding word the walk never reaches is an error
 as well.  So the search holds little more than the groups it reports.
 
-Inner words cut from validated words go to the unchecked forms of
-``bar``, ``partner``, ``phi`` and ``psi``, which skip ``require_word``.
-
 Each group is classified by one classifier, ``_classify_group``, which
 gives one verdict per ordered pair of distinct brackets (``GroupTable``): a
 pair's verdict depends only on the brackets of its two words, and under M
@@ -63,13 +60,13 @@ from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .identities import _partner, _phi, _psi
+from .identities import partner, phi, psi
 from .laurent import LaurentPoly
 # M_q and mu_q are not called here: they stay importable as search.M_q and
 # search.mu_q, which perfbench/traced.py hooks
 from .qmatrix import (IMAGES, M_q, Mat2, first_row_step, m12_equal, max_entry_at_one,
                       mu_q, packed_step, unpack_poly, walk_words)
-from .words import (BINARY, BoundError, _bar, apply_morphism, christoffel_fold,
+from .words import (BINARY, BoundError, apply_morphism, bar, christoffel_fold,
                     letter_counts, mirror, require_word)
 
 
@@ -231,16 +228,14 @@ class SearchBoundError(BoundError):
         self.bound = bound
 
 
-def classify_pair(x: str, y: str, map_kind: str = "mu",
-                  require_collision: bool = True) -> PairClassification:
+def classify_pair(x: str, y: str, map_kind: str = "mu") -> PairClassification:
     """Direct classification of one colliding unordered pair.
 
     The pair must consist of two distinct words whose 12-entries agree
     (checked by ``qmatrix.m12_equal``, on packed integers with no polynomial
-    built, unless ``require_collision`` is disabled by a caller that has
-    already confirmed it).  The pair is classified as the two-word group
-    (x, y) by :func:`_classify_group`, the one classifier; chain
-    explanations need a larger group and are assigned by :func:`collide`.
+    built).  The pair is classified as the two-word group (x, y) by
+    :func:`_classify_group`, the one classifier; chain explanations need a
+    larger group and are assigned by :func:`collide`.
     """
     require_word(x, BINARY)
     require_word(y, BINARY)
@@ -248,15 +243,14 @@ def classify_pair(x: str, y: str, map_kind: str = "mu",
         raise ValueError("pairs are unordered distinct words")
     if map_kind not in IMAGES:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
-    if require_collision and not m12_equal(map_kind, x, y):
+    if not m12_equal(map_kind, x, y):
         raise ValueError(f"{x!r} and {y!r} do not share their 12-entry under {map_kind}")
     return _classify_group(map_kind, (x, y)).classifications()[0]
 
 
 #: Per map: the identity-1 involution, the identity-2 morphism, and the
-#: length of that morphism's letter images at w = "".  These are the
-#: unchecked forms: every word they see was cut from a validated word.
-_FAMILY_MAPS = {"mu": (mirror, _psi, 4), "M": (_bar, _phi, 8)}
+#: length of that morphism's letter images at w = "".
+_FAMILY_MAPS = {"mu": (mirror, psi, 4), "M": (bar, phi, 8)}
 
 
 def _bracket(map_kind: str, x: str) -> Optional[tuple[int, str]]:
@@ -292,7 +286,7 @@ def _identity2_partners(map_kind: str, inner: str,
         letters = [inverse.get(inner[i:i + block]) for i in range(0, body_len, block)]
         if None not in letters:
             v = "".join(letters)
-            table.setdefault(apply_morphism(images, _partner(v)) + w, (wlen, w, v))
+            table.setdefault(apply_morphism(images, partner(v)) + w, (wlen, w, v))
     return table
 
 
@@ -540,6 +534,8 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    if safety_bound < 0:
+        raise ValueError("safety_bound must be >= 0")
     if max_len > safety_bound:
         raise SearchBoundError(max_len, safety_bound, map_kind)
     shift = max(max_entry_at_one(map_kind, max_len).bit_length(), 1)

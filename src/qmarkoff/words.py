@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from math import gcd
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 BINARY = "ab"
 EXTENDED = "abcd"
@@ -22,12 +22,15 @@ SIGMA: Mapping[str, str] = {"a": "ba", "b": "bbaa"}
 
 
 def require_word(w: str, alphabet: str = BINARY) -> str:
-    """Validate that every letter of ``w`` belongs to ``alphabet``."""
+    """Validate that every letter of ``w`` belongs to ``alphabet``.
+
+    ``w.strip(alphabet)`` is empty exactly when every letter is in the
+    alphabet: one C-level pass, with no set built unless the word is bad."""
     if not isinstance(w, str):
         raise TypeError(f"word must be a str, got {type(w).__name__}")
-    bad = set(w) - set(alphabet)
-    if bad:
-        raise ValueError(f"letters {sorted(bad)} not in alphabet {alphabet!r}")
+    if w.strip(alphabet):
+        raise ValueError(f"letters {sorted(set(w) - set(alphabet))} "
+                         f"not in alphabet {alphabet!r}")
     return w
 
 
@@ -49,12 +52,7 @@ def mirror(w: str) -> str:
 
 def bar(w: str) -> str:
     """Reverse the word and exchange a with b and c with d."""
-    return _bar(require_word(w, EXTENDED))
-
-
-def _bar(w: str) -> str:
-    """``bar`` of a word already known to be over the extended alphabet."""
-    return w[::-1].translate(_BAR_TABLE)
+    return require_word(w, EXTENDED)[::-1].translate(_BAR_TABLE)
 
 
 def is_palindrome(w: str) -> bool:
@@ -109,8 +107,11 @@ def christoffel_words(max_len: int) -> list[str]:
     return words
 
 
-def iter_words(alphabet: str, max_len: int, min_len: int = 0) -> Iterator[str]:
-    """Yield every word with min_len <= length <= max_len in (length, lex) order."""
+def iter_words(alphabet: Sequence[str], max_len: int, min_len: int = 0) -> Iterator[str]:
+    """Yield every word with min_len <= length <= max_len in (length, lex) order.
+
+    The letters may be blocks of several characters: length then counts
+    blocks, and lex follows the order of ``alphabet``."""
     frontier = [""]
     for length in range(max_len + 1):
         if length >= min_len:

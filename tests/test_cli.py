@@ -10,12 +10,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmarkoff import cli, cyclotomic, search
 from qmarkoff.cli import _json_text, main
 from qmarkoff.cyclotomic import residue_relation_check
+from qmarkoff.identities import FAMILIES
 from qmarkoff.laurent import LaurentPoly
 from qmarkoff.qmatrix import QMatrix
 from qmarkoff.search import Classification, collide
@@ -105,6 +106,16 @@ def test_collide_resource_bound_exit(capsys):
                            "--safety-bound", "8")
     assert code == 4
     assert "safety bound" in err
+
+
+def test_collide_negative_safety_bound_is_usage_error(capsys, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the check must refuse before any walk")
+
+    monkeypatch.setattr(search, "walk_words", no_walk)
+    monkeypatch.setattr(search, "max_entry_at_one", no_walk)
+    assert run_cli(capsys, "collide", "--map", "M", "--max-len", "3",
+                   "--safety-bound", "-1") == (2, "", "error: safety_bound must be >= 0\n")
 
 
 @pytest.mark.parametrize("max_len", ["20000", "1000000000"])
@@ -489,3 +500,55 @@ def test_json_writer_matches_json_dumps_on_reports():
     for report in (collide("M", 10), collide("mu", 12), residue_relation_check(5, 10)):
         data = report.to_json_dict()
         assert _json_text(data) == _dumps(data)
+
+
+_FUZZ_INTS = st.integers(-3, 8).map(str)
+_FUZZ_WORDS = st.text(alphabet="abz", max_size=6)
+_FUZZ_MAPS = st.sampled_from(["M", "mu"])
+#: Each subcommand's flags, each with the values drawn for it (None: a flag
+#: with no value).  Every flag is drawn or left out, required ones too, except
+#: --cap: the default closure cap of 10,000 elements is not a short run.
+#: --max-v stays <= 3: the delta family checks every word of up to --max-v
+#: letter pairs, 4^max_v of them at the longest.
+_FUZZ_GRAMMAR = {
+    "compute": {"--map": _FUZZ_MAPS, "--word": _FUZZ_WORDS},
+    "christoffel": {"--max-len": _FUZZ_INTS},
+    "eval": {"--word": _FUZZ_WORDS, "--k": _FUZZ_INTS},
+    "collide": {"--map": _FUZZ_MAPS, "--max-len": _FUZZ_INTS,
+                "--safety-bound": _FUZZ_INTS, "--no-classify": None},
+    "verify-identities": {"--family": st.sampled_from([*FAMILIES, "delta", "all"]),
+                          "--cases": _FUZZ_INTS, "--seed": _FUZZ_INTS,
+                          "--max-w": _FUZZ_INTS, "--max-v": st.integers(-3, 3).map(str),
+                          "--max-kmn": _FUZZ_INTS},
+    "closure": {"--k": _FUZZ_INTS, "--no-scaled": None},
+    "residues": {"--k": _FUZZ_INTS, "--max-len": _FUZZ_INTS},
+    "markoff": {"--depth": _FUZZ_INTS, "--up-to": _FUZZ_INTS},
+    "figure2-data": {"--max-len": _FUZZ_INTS},
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_GRAMMAR)))
+    flags = {**_FUZZ_GRAMMAR[command], "--format": st.sampled_from(["json", "csv", "human"]),
+             "--jobs": _FUZZ_INTS}
+    argv = [command]
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    if command == "closure":
+        argv += ["--cap", draw(_FUZZ_INTS)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_argv())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors, --help, --version
+            code = exc.code
+    assert code in {0, 1, 2, 3, 4}, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

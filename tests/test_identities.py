@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 
 import pytest
@@ -134,6 +135,13 @@ def test_cd_exchange_is_not_the_second_family_pairing():
 def test_delta_empty_v_is_zero():
     for w in ("", "a", "b", "ab", "bab"):
         assert delta(w, "").is_zero()
+
+
+def test_alternating_words_are_the_pair_words_shortest_first():
+    units = ["ac", "ad", "bc", "bd"]
+    expected = ["".join(p) for j in range(4) for p in itertools.product(units, repeat=j)]
+    assert list(alternating_words(3)) == expected
+    assert list(alternating_words(0)) == [""]
 
 
 def test_delta_vanishes_on_alternating_words():

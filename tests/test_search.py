@@ -340,7 +340,7 @@ def test_classify_pair_matches_the_per_pair_reference(family):
         if x == y:
             continue
         for a, b in ((x, y), (y, x)):
-            got = classify_pair(a, b, map_kind, require_collision=False)
+            got = classify_pair(a, b, map_kind)
             assert _verdict(got) == oracle.classify_pair(map_kind, a, b)
 
 
@@ -349,6 +349,8 @@ def test_collide_validates_arguments():
         collide("x", 4)
     with pytest.raises(ValueError):
         collide("mu", -1)
+    with pytest.raises(ValueError, match="safety_bound must be >= 0"):
+        collide("M", 3, safety_bound=-1)
 
 
 def test_classify_can_be_skipped():
@@ -437,7 +439,7 @@ def test_family_instances_classify_as_their_family(family):
     for params, x, y in _family_instances(family, 600, seed=len(family)):
         if x == y or family == "2M" and params["v"] == "":
             continue  # the empty-v 2M instances are the strict xfail below
-        kind = classify_pair(x, y, map_kind, require_collision=False).kind
+        kind = classify_pair(x, y, map_kind).kind
         assert kind in expected, (params, x, y, kind)
         checked += 1
     assert checked >= 200
@@ -451,7 +453,7 @@ def test_2M_instances_with_empty_v_classify_as_identity2():
     assert pairs
     expected = {Classification.IDENTITY2, Classification.BOTH}
     missed = [(x, y) for x, y in pairs
-              if classify_pair(x, y, "M", require_collision=False).kind not in expected]
+              if classify_pair(x, y, "M").kind not in expected]
     assert not missed
 
 
@@ -614,7 +616,7 @@ def test_bracket_table_matches_the_per_pair_reference(words, collides, kinds):
 def test_classify_pair_checks_the_collision_on_packed_entries(monkeypatch):
     # the 63-letter 2mu pair: m12_equal, with no word product or polynomial
     x, y = identity2_mu_words("abbab", "acbd")
-    expected = classify_pair(x, y, "mu", require_collision=False)
+    expected = classify_pair(x, y, "mu")
     calls = []
 
     def forbidden(name):

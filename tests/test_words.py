@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmarkoff.words import (BINARY, EXTENDED, SIGMA, apply_morphism, bar,
@@ -121,13 +121,31 @@ def test_apply_morphism_sigma():
         apply_morphism(SIGMA, "abc")
 
 
-def test_require_word():
+# arbitrary text, whitespace and non-ASCII letters included, with enough
+# alphabet letters that many drawn words are accepted
+any_text = st.text(st.one_of(st.sampled_from("abcd \t\n"), st.characters()), max_size=12)
+
+
+@given(any_text, st.sampled_from([BINARY, EXTENDED]))
+@example("", BINARY)
+@example(" ab\n", BINARY)
+@example("abé", EXTENDED)
+@example("bzb", BINARY)
+def test_require_word(w, alphabet):
     assert require_word("ab") == "ab"
     assert require_word("abcd", EXTENDED) == "abcd"
     with pytest.raises(ValueError):
         require_word("abc", BINARY)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="word must be a str, got int"):
         require_word(3)
+    # accepted iff every letter is in the alphabet; the error names the others
+    bad = sorted(set(w) - set(alphabet))
+    if not bad:
+        assert require_word(w, alphabet) is w
+        return
+    with pytest.raises(ValueError) as exc:
+        require_word(w, alphabet)
+    assert str(exc.value) == f"letters {bad} not in alphabet {alphabet!r}"
 
 
 @given(binary_words)
