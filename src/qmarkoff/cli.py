@@ -8,14 +8,20 @@ is not an integer >= 1 and a negative ``collide --safety-bound``), 3
 unexplained collision pairs found (evidence signal), 4 resource bound hit
 (``collide`` past its ``--safety-bound``; ``residues`` or ``figure2-data``
 past ``--max-len`` 14283, the longest length whose word count
-2^(max_len+1) - 1 Python can print), 130
+2^(max_len+1) - 1 Python can print), 5 a worker process of ``collide
+--jobs`` ended before its output was complete (one stderr line), 130
 interrupted (SIGINT, e.g. Ctrl-C, also while the arguments are parsed), 141
 stdout was closed before all of the output was written (e.g. piped into
 head); neither prints a traceback.  ``markoff --depth`` below 0 is a
 validation error (exit 2), while ``markoff --up-to`` below 1 prints the
 empty list and exits 0: no Markoff number is that small.
 ``--jobs`` (default 1, read from no environment variable) is accepted by
-every command and changes no output: every command runs in one process.
+every command and changes no output.  Only ``collide``'s JSON uses it: with
+``--jobs`` and the usable CPUs both above 1 and two chunks of pairs or
+more, one forked worker process classifies and renders every other chunk
+of its pairs and groups, and the parent writes its text in order
+(``qmarkoff.collide_json``); a larger N starts no second worker.  Every
+other command, and ``collide``'s CSV and human forms, run in one process.
 
 Each command loads only the modules it runs.  This module loads
 ``identities`` (with ``laurent``, ``qmatrix`` and ``words``); ``search``,
@@ -28,7 +34,8 @@ the cyclotomic layer.
 report's objects, classifying and writing the pairs one group at a time
 from the group's table of verdicts (``search.GroupTable``: the kind and
 witness text is made once per table entry, each word's text once per
-group); every other command renders one value with ``_json_text``.  Both
+group), through ``qmarkoff.collide_json``, which only ``collide`` imports;
+every other command renders one value with ``_json_text``.  Both
 give the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.  Every
 output form of ``collide`` classifies each collision group once: JSON and
 human output as they write the pairs, CSV (which lists no pairs) for its
@@ -40,7 +47,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from . import __version__
 # identities loads only laurent, qmatrix and words, which most commands use
@@ -51,13 +58,11 @@ from .qmatrix import M_q, mu_q
 from .words import (BINARY, EXTENDED, BoundError, christoffel_words, letter_counts,
                     require_word, stern_brocot_fraction)
 
-if TYPE_CHECKING:
-    from .search import CollisionGroup, CollisionReport, GroupTable
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EVIDENCE = 3
 EXIT_RESOURCE = 4
+EXIT_WORKER = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
@@ -138,113 +143,24 @@ def _json_text(obj: object) -> str:
     return _json_writer()(obj, "\n")
 
 
-def _collide_json(report: CollisionReport) -> Iterator[str]:
-    """``_json_text(report.to_json_dict()) + "\n"``, in chunks of text.
-
-    The pairs come first in sorted-key order, so they are classified one
-    group at a time (``report.group_tables``), written as one chunk and
-    dropped; the summary after them reads the tallies of that pass.  A pair
-    is one f-string of five pieces: the text before its bound (its kind),
-    its bound, the text from its witness to x, x, and the text from y on.
-    The kind and witness pieces are made once per table entry (a witness
-    through one template per key set, keys in sorted order), and the word
-    pieces once per word of the group.  A group is one template filled with
-    its polynomial's coefficients and its words.  So neither the dict tree,
-    the whole text nor the list of pairs is ever built; the groups go a
-    chunk of at most 512 at a time."""
-    import json
-
-    from .search import Classification
-
-    render = _json_writer()
-    encode = json.encoder.encode_basestring_ascii
-    group_text = ('{\n      "polynomial": {\n        "coeffs": %s,\n        "min_degree": %d'
-                  '\n      },\n      "words": [\n        %s\n      ]\n    }')
-    # the pieces of a pair's text, keys in sorted order; the kind is a str
-    # enum, which the string encoder writes as its value
-    heads = {kind: '{\n      "kind": ' + encode(kind) + ',\n      "w_search_bound": '
-             for kind in Classification}
-    middles: dict[tuple, tuple[str, list]] = {}  # witness keys -> (template, sorted keys)
-
-    def middle(w: Optional[dict]) -> str:
-        if w is None:
-            return ',\n      "witness": null,\n      "x": '
-        keys = tuple(w)
-        form = middles.get(keys)
-        if form is None:
-            order = sorted(keys)
-            fields = ",".join(["\n        " + encode(k).replace("%", "%%") + ": %s"
-                               for k in order])
-            form = middles[keys] = (',\n      "witness": {' + fields
-                                    + '\n      },\n      "x": '), order
-        template, order = form
-        return template % tuple([encode(v) if type(v) is str else render(v, "\n        ")
-                                 for v in map(w.__getitem__, order)])
-
-    def pairs(table: GroupTable) -> str:
-        words, entries, rows = table.words, table.entries, table.rows()
-        # one pair, as in almost every mu group: the per-group lists below
-        # made mu 16's pair stage about 1.2x the parent's (BENCH_19.json)
-        if len(words) == 2:
-            kind, w = entries[rows[0][0]]
-            return (f'{heads[kind]}{len(words[1]) // 2}{middle(w)}{encode(words[0])},'
-                    f'\n      "y": {encode(words[1])}\n    }}')
-        entry_heads = [heads[kind] for kind, _ in entries]
-        entry_middles = [middle(w) for _, w in entries]
-        xs = list(map(encode, words))
-        ys = [f',\n      "y": {y}\n    }}' for y in xs]
-        # a group's words are sorted by length: the later word's half is the bound
-        bounds = [len(w) // 2 for w in words]
-        texts: list[str] = []
-        for i, row in enumerate(rows):
-            x = xs[i]
-            texts += [f"{entry_heads[e]}{bounds[j]}{entry_middles[e]}{x}{ys[j]}"
-                      for j, e in enumerate(row, i + 1)]
-        return ",\n    ".join(texts)
-
-    def group(g: CollisionGroup) -> str:
-        coeffs = ",\n          ".join(['"%d"' % c for c in g.polynomial.coefficients])
-        coeffs = "[\n          " + coeffs + "\n        ]" if coeffs else "[]"
-        return group_text % (coeffs, g.polynomial.min_degree,
-                             ",\n        ".join(map(encode, g.words)))
-
-    def items(chunks: Iterable[str]) -> Iterator[str]:
-        # one chunk of text per nonempty list of values; "[]" when there are none.
-        # A chunk is yielded as it is, not copied behind its separator.
-        sep = "[\n    "
-        for chunk in chunks:
-            yield sep
-            yield chunk
-            sep = ",\n    "
-        yield "[]" if sep == "[\n    " else "\n  ]"
-
-    # the top-level keys in sorted order: these two, then the tail's four
-    groups = report.groups
-    yield '{\n  "classifications": '
-    yield from items(map(pairs, report.group_tables()))
-    yield ',\n  "groups": '
-    yield from items(",\n    ".join(map(group, groups[i:i + 512]))
-                     for i in range(0, len(groups), 512))
-    tail = _json_text({"map": report.map_kind, "max_len": report.max_len,
-                       "summary": report.summary(),
-                       "unexplained_present": report.has_unexplained})
-    yield ",\n" + tail[len("{\n"):] + "\n"
-
-
 def _emit(fmt: str, json_of: Callable[[], object], header: list[str],
           rows: Iterable, human: Optional[Iterable[str]] = None) -> None:
     """Write one result to stdout in ``fmt``.
 
     Only the chosen format is built: ``json_of`` is called for JSON and
-    returns the value to write, or an iterator of its text in chunks, which
-    are written as they come; the CSV ``rows`` (below ``header``) and the
-    ``human`` lines are iterated lazily.  A command without a human form
-    (``human`` None) prints CSV instead.
+    returns the value to write, or a generator of its text in chunks, which
+    are written as they come and which is closed however the writing ends;
+    the CSV ``rows`` (below ``header``) and the ``human`` lines are iterated
+    lazily.  A command without a human form (``human`` None) prints CSV
+    instead.
     """
     if fmt == "json":
         value = json_of()
-        if isinstance(value, Iterator):
-            sys.stdout.writelines(value)
+        if isinstance(value, Generator):
+            try:
+                sys.stdout.writelines(value)
+            finally:
+                value.close()
         else:
             print(_json_text(value))
     elif fmt == "csv" or human is None:
@@ -306,6 +222,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_collide(args: argparse.Namespace) -> int:
+    # imported before the scan: compiling it then adds nothing to the peak
+    from .collide_json import collide_json
     from .search import Classification
 
     report = collide(args.map, args.max_len, safety_bound=args.safety_bound,
@@ -328,7 +246,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
             for w in g.words:
                 yield [i, w, len(w), poly]
 
-    _emit(args.format, lambda: _collide_json(report),
+    _emit(args.format, lambda: collide_json(report, args.jobs, _json_writer),
           ["group", "word", "length", "polynomial"], csv_rows(), human())
     if report.has_unexplained:
         print(f"unexplained pairs present (searched w up to length "
@@ -461,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default=format_default)
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="changes no output: every command runs in one "
-                            "process (default 1)")
+                       help="changes no output; above 1, with two usable "
+                            "CPUs or more, collide's JSON classifies and "
+                            "renders its pairs in two processes (default 1)")
         p.set_defaults(func=func)
         return p
 
@@ -525,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     except BoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ChildProcessError as exc:  # a worker of collide --jobs failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

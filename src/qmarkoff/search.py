@@ -43,10 +43,15 @@ holds no pairs: ``CollisionReport.group_tables`` classifies one group at a
 time and tallies what the summary needs, so a census's memory grows with
 its words, not with its pairs.
 
-The scan runs in the calling process, whatever ``--jobs`` says: it costs one
-packed step per word, and worker processes would have to pickle every
-word's bucket back to the parent, whose unpickling and merging measured
-slower than the serial scan at every length the default safety bound allows.
+The scan and the soundness check run in the calling process, whatever
+``--jobs`` says: the scan costs one packed step per word, and worker
+processes would have to pickle every word's bucket back to the parent,
+whose unpickling and merging measured slower than the serial scan at every
+length the default safety bound allows.  Only the pair stage is split:
+``collide --jobs N`` classifies and renders every other chunk of the groups
+in one forked worker that sends back the output text
+(``qmarkoff.collide_json``), each process's share through
+``classify_groups``.
 """
 
 from __future__ import annotations
@@ -111,31 +116,29 @@ class CollisionReport:
     ``has_unexplained`` and ``w_search_bound`` read those tallies,
     classifying every group once more, with no pass over its pairs, only if
     no pass has finished yet.  ``classifications`` is the list of every
-    pair, built by one such pass when first read."""
+    pair, built by one such pass when first read.
+
+    ``tallies`` holds the count of each kind and the largest
+    ``w_search_bound`` once a pass over every group has finished; a pass
+    split between processes (``collide --jobs``) sets it from the merged
+    tallies of its shares (``classify_groups``)."""
 
     map_kind: str
     max_len: int
     groups: list[CollisionGroup]
     words_searched: int
     classify: bool = True
-    _tallies: Optional[tuple[Counter, int]] = field(default=None, init=False,
-                                                    repr=False, compare=False)
+    tallies: Optional[tuple[Counter, int]] = field(default=None, init=False,
+                                                   repr=False, compare=False)
 
     def group_tables(self) -> Iterator[GroupTable]:
         """Yield each group's ``GroupTable`` (``_classify_group``), group by
         group in report order; once the last group is yielded, keep the
         count of each kind and the largest ``w_search_bound``."""
-        counts: Counter = Counter()
-        bound = 0
+        tallies: list = [Counter(), 0]
         if self.classify:
-            for g in self.groups:
-                table = _classify_group(self.map_kind, g.words)
-                for kind, count in table.counts.items():
-                    counts[kind] += count
-                # the group's last word is its longest: the largest bound
-                bound = max(bound, len(g.words[-1]) // 2)
-                yield table
-        self._tallies = counts, bound
+            yield from classify_groups(self.map_kind, self.groups, tallies)
+        self.tallies = tallies[0], tallies[1]
 
     def group_pairs(self) -> Iterator[list[PairClassification]]:
         """Yield each group's classified pairs, built from its table, as
@@ -144,10 +147,10 @@ class CollisionReport:
             yield table.classifications()
 
     def _tally(self) -> tuple[Counter, int]:
-        if self._tallies is None:
+        if self.tallies is None:
             for _ in self.group_tables():
                 pass
-        return self._tallies
+        return self.tallies
 
     @cached_property
     def classifications(self) -> list[PairClassification]:
@@ -454,6 +457,22 @@ def _classify_group(map_kind: str, words: tuple[str, ...]) -> GroupTable:
     if explained + chains < total:
         counts[Classification.UNEXPLAINED] = total - explained - chains
     return GroupTable(words, index, table, entries, roots, counts)
+
+
+def classify_groups(map_kind: str, groups: Iterable[CollisionGroup],
+                    tallies: list) -> Iterator[GroupTable]:
+    """Yield the ``GroupTable`` of each of ``groups`` in order
+    (``_classify_group``), adding the group's count of each kind to
+    ``tallies[0]``, a Counter, and raising ``tallies[1]`` to its largest
+    ``w_search_bound``."""
+    counts = tallies[0]
+    for g in groups:
+        table = _classify_group(map_kind, g.words)
+        for kind, count in table.counts.items():
+            counts[kind] += count
+        # the group's last word is its longest: the largest bound
+        tallies[1] = max(tallies[1], len(g.words[-1]) // 2)
+        yield table
 
 
 def _find(parent: list[int], i: int) -> int:

@@ -372,10 +372,10 @@ def test_residue_check_parallel_merge_is_deterministic(capsys, k):
     assert _residues_stdout(capsys, k, "1") == _residues_stdout(capsys, k, "2")
 
 
-def test_residues_starts_no_worker_process(capsys, monkeypatch, serial_pool):
+def test_residues_starts_no_worker_process(capsys, monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     multi = _residues_stdout(capsys, 5, "4")
-    assert serial_pool == []
+    assert forks == []
     assert multi == _residues_stdout(capsys, 5, "1")
 
 

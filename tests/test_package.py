@@ -50,7 +50,8 @@ def test_import_loads_no_submodule():
 def test_residues_never_loads_the_search(argv):
     loaded = _imports_of(*argv)
     assert "qmarkoff.cyclotomic" in loaded
-    assert loaded.isdisjoint({"qmarkoff.search", "qmarkoff.markoff", "csv", "dataclasses"})
+    assert loaded.isdisjoint({"qmarkoff.search", "qmarkoff.markoff", "qmarkoff.collide_json",
+                              "csv", "dataclasses"})
 
 
 def test_a_bound_error_exits_4_without_loading_the_search():
@@ -62,12 +63,13 @@ def test_verify_identities_never_loads_the_search_or_the_cyclotomic_layer():
     loaded = _imports_of("verify-identities", "--family", "all", "--cases", "20",
                          "--seed", "7")
     assert "qmarkoff.identities" in loaded
-    assert loaded.isdisjoint({"qmarkoff.search", "qmarkoff.cyclotomic", "csv"})
+    assert loaded.isdisjoint({"qmarkoff.search", "qmarkoff.cyclotomic",
+                              "qmarkoff.collide_json", "csv"})
 
 
 def test_collide_never_loads_the_cyclotomic_layer():
     loaded = _imports_of("collide", "--map", "mu", "--max-len", "8")
-    assert "qmarkoff.search" in loaded
+    assert {"qmarkoff.search", "qmarkoff.collide_json"} <= loaded
     assert loaded.isdisjoint({"qmarkoff.cyclotomic", "qmarkoff.markoff", "csv"})
 
 
@@ -77,6 +79,7 @@ def test_version_loads_only_what_the_parser_needs():
     assert "qmarkoff.search" not in proc.stderr
     assert "qmarkoff.cyclotomic" not in proc.stderr
     assert "qmarkoff.markoff" not in proc.stderr
+    assert "qmarkoff.collide_json" not in proc.stderr
 
 
 def test_every_public_name_is_its_defining_module_object():

@@ -1,4 +1,3 @@
-import os
 import random
 import re
 from itertools import combinations
@@ -8,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from qmarkoff import qmatrix, search
+from qmarkoff import collide_json, qmatrix, search
 from qmarkoff.cli import main
 from qmarkoff.identities import FAMILIES, identity2_M_words, identity2_mu_words
 from qmarkoff.markoff import markoff_numbers_up_to
@@ -147,11 +146,19 @@ def test_parallel_search_matches_serial(capsys, map_kind):
     assert solo == multi
 
 
-def test_collide_starts_no_worker_process(capsys, monkeypatch, serial_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def test_collide_starts_no_worker_process(capsys, monkeypatch, forks):
+    # M 8 has 960 pairs, fewer than two chunks: the pair stage stays serial
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 4)
     multi = _collide_cli(capsys, "--map", "M", "--max-len", "8", "--jobs", "4")
-    assert serial_pool == []
+    assert forks == []
     assert multi == _collide_cli(capsys, "--map", "M", "--max-len", "8", "--jobs", "1")
+
+
+def test_collide_M10_with_two_jobs_forks_once(capsys, monkeypatch, forks):
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 4)
+    multi = _collide_cli(capsys, "--map", "M", "--max-len", "10", "--jobs", "2")
+    assert len(forks) == 1
+    assert multi == _collide_cli(capsys, "--map", "M", "--max-len", "10", "--jobs", "1")
 
 
 def test_safety_bound_refusal():
