@@ -9,19 +9,25 @@ unexplained collision pairs found (evidence signal), 4 resource bound hit
 (``collide`` past its ``--safety-bound``; ``residues`` or ``figure2-data``
 past ``--max-len`` 14283, the longest length whose word count
 2^(max_len+1) - 1 Python can print), 5 a worker process of ``collide
---jobs`` ended before its output was complete (one stderr line), 130
-interrupted (SIGINT, e.g. Ctrl-C, also while the arguments are parsed), 141
-stdout was closed before all of the output was written (e.g. piped into
-head); neither prints a traceback.  ``markoff --depth`` below 0 is a
+--jobs`` ended before its output was complete (one stderr line), 6
+``collide``'s soundness check found a colliding word whose 12-entry,
+recomputed on an independent route, is not its group's (one stderr line
+naming the word, and no stdout byte), 130 interrupted (SIGINT, e.g.
+Ctrl-C, also while the arguments are parsed), 141 stdout was closed before
+all of the output was written (e.g. piped into head); none of these prints
+a traceback.  ``markoff --depth`` below 0 is a
 validation error (exit 2), while ``markoff --up-to`` below 1 prints the
 empty list and exits 0: no Markoff number is that small.
 ``--jobs`` (default 1, read from no environment variable) is accepted by
 every command and changes no output.  Only ``collide``'s JSON uses it: with
 ``--jobs`` and the usable CPUs both above 1 and two chunks of pairs or
-more, one forked worker process classifies and renders every other chunk
-of its pairs and groups, and the parent writes its text in order
-(``qmarkoff.collide_json``); a larger N starts no second worker.  Every
-other command, and ``collide``'s CSV and human forms, run in one process.
+more, one worker process is forked once the groups are built; it checks
+the second half of the sorted colliding words while the parent checks the
+first, then classifies and renders every other chunk of the pairs and
+groups, and the parent writes its text in order once both halves have
+passed (``qmarkoff.collide_json``); a larger N starts no second worker.
+Every other command, and ``collide``'s CSV and human forms, run in one
+process.
 
 Each command loads only the modules it runs.  This module loads
 ``identities`` (with ``laurent``, ``qmatrix`` and ``words``); ``search``,
@@ -34,8 +40,10 @@ the cyclotomic layer.
 report's objects, classifying and writing the pairs one group at a time
 from the group's table of verdicts (``search.GroupTable``: the kind and
 witness text is made once per table entry, each word's text once per
-group), through ``qmarkoff.collide_json``, which only ``collide`` imports;
-every other command renders one value with ``_json_text``.  Both
+group), through ``qmarkoff.collide_json``, which only ``collide`` imports,
+joined into writes of 64 KiB (``_writes``), so the number of write calls
+does not depend on how stdout is buffered; every other command renders one
+value with ``_json_text``.  Both
 give the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.  Every
 output form of ``collide`` classifies each collision group once: JSON and
 human output as they write the pairs, CSV (which lists no pairs) for its
@@ -55,14 +63,15 @@ from . import __version__
 # the commands and writers that use them
 from .identities import FAMILIES, alternating_words, delta, verify_family
 from .qmatrix import M_q, mu_q
-from .words import (BINARY, EXTENDED, BoundError, christoffel_words, letter_counts,
-                    require_word, stern_brocot_fraction)
+from .words import (BINARY, EXTENDED, BoundError, SoundnessError, christoffel_words,
+                    letter_counts, require_word, stern_brocot_fraction)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EVIDENCE = 3
 EXIT_RESOURCE = 4
 EXIT_WORKER = 5
+EXIT_SOUNDNESS = 6
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports an interrupted command
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing early
 
@@ -70,10 +79,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader closing ear
 # collide and residues call their computation through these module
 # attributes (the benchmark's traced run wraps them here); each imports its
 # module on first call.
-def collide(*args, **kwargs):
-    """``search.collide``."""
-    from .search import collide
-    return collide(*args, **kwargs)
+def collide(*args, checked: bool = True, **kwargs):
+    """``search.collide``; with ``checked`` off, the report it is built on,
+    before its soundness check (``search._scan_and_group``), which
+    ``collide``'s JSON makes itself (``qmarkoff.collide_json``)."""
+    from . import search
+    return (search.collide if checked else search._scan_and_group)(*args, **kwargs)
 
 
 def residue_relation_check(*args, **kwargs):
@@ -143,22 +154,53 @@ def _json_text(obj: object) -> str:
     return _json_writer()(obj, "\n")
 
 
+#: The characters of each write of a streamed output (``_writes``).
+WRITE_CHARS = 1 << 16
+
+
+def _writes(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces`` in strings of ``WRITE_CHARS`` characters, but
+    the last: each is joined from the pieces that fill it, a piece that
+    overflows it is cut, and no more than ``WRITE_CHARS`` characters are
+    held.  So a streamed output takes one write call per ``WRITE_CHARS``
+    characters however stdout is buffered: with ``PYTHONUNBUFFERED=1`` each
+    piece would be a write call of its own (32,297 for census-M)."""
+    held: list[str] = []
+    room = WRITE_CHARS
+    for piece in pieces:
+        if len(piece) < room:
+            held.append(piece)
+            room -= len(piece)
+            continue
+        cut = room
+        held.append(piece[:cut])
+        yield "".join(held)
+        while len(piece) - cut >= WRITE_CHARS:
+            yield piece[cut:cut + WRITE_CHARS]
+            cut += WRITE_CHARS
+        held = [piece[cut:]]
+        room = WRITE_CHARS - len(held[0])
+    rest = "".join(held)
+    if rest:
+        yield rest
+
+
 def _emit(fmt: str, json_of: Callable[[], object], header: list[str],
           rows: Iterable, human: Optional[Iterable[str]] = None) -> None:
     """Write one result to stdout in ``fmt``.
 
     Only the chosen format is built: ``json_of`` is called for JSON and
-    returns the value to write, or a generator of its text in chunks, which
-    are written as they come and which is closed however the writing ends;
-    the CSV ``rows`` (below ``header``) and the ``human`` lines are iterated
-    lazily.  A command without a human form (``human`` None) prints CSV
-    instead.
+    returns the value to write, or a generator of its text in pieces, which
+    are written as they come, joined into writes of ``WRITE_CHARS``
+    (``_writes``), and which is closed however the writing ends; the CSV
+    ``rows`` (below ``header``) and the ``human`` lines are iterated lazily.
+    A command without a human form (``human`` None) prints CSV instead.
     """
     if fmt == "json":
         value = json_of()
         if isinstance(value, Generator):
             try:
-                sys.stdout.writelines(value)
+                sys.stdout.writelines(_writes(value))
             finally:
                 value.close()
         else:
@@ -226,8 +268,9 @@ def _cmd_collide(args: argparse.Namespace) -> int:
     from .collide_json import collide_json
     from .search import Classification
 
+    # the JSON checks the groups itself, split with its worker, before its first byte
     report = collide(args.map, args.max_len, safety_bound=args.safety_bound,
-                     classify=not args.no_classify)
+                     classify=not args.no_classify, checked=args.format != "json")
 
     def human() -> Iterator[str]:
         yield (f"{len(report.groups)} groups, {report.pair_count} pairs "
@@ -380,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=format_default)
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="changes no output; above 1, with two usable "
-                            "CPUs or more, collide's JSON classifies and "
-                            "renders its pairs in two processes (default 1)")
+                            "CPUs or more, collide's JSON checks its groups "
+                            "and classifies and renders its pairs in two "
+                            "processes (default 1)")
         p.set_defaults(func=func)
         return p
 
@@ -447,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
     except ChildProcessError as exc:  # a worker of collide --jobs failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER
+    except SoundnessError as exc:  # collide's check found a wrong group
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOUNDNESS
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """``collide``'s JSON: the text of ``json.dumps(report.to_json_dict(),
 sort_keys=True, indent=2) + "\\n"``, written in chunks straight from the
-report's objects, with its pair stage split between the parent and a
+report's objects once the report's groups have passed their soundness
+check, with that check and the pair stage split between the parent and a
 forked worker when ``--jobs`` allows two processes.  Only ``collide``
 imports this module, so no other command compiles it.
 
@@ -18,25 +19,31 @@ the list of pairs is ever built.
 The split.  The groups are cut in order into chunks that each end with the
 group that brings them to ``CHUNK_PAIRS`` pairs.  With ``--jobs`` and the
 usable CPUs both above 1 (``worker_count``), two chunks or more and
-classification on, the odd chunks go to one forked worker and the even
-ones stay with the parent; otherwise, or when no pipe or process can be
-had, the parent renders every chunk.  The worker is a bare ``os.fork`` of
-the command's one thread (``gc.freeze`` first, so the worker's collections
-do not touch, and copy, the pages it shares with the parent) writing into
-one pipe, enlarged to ``PIPE_BYTES`` where the OS allows it, so it can run
-that far ahead of the parent; each process is kept on its own share of the
-usable CPUs (``_pin``).  It classifies and renders the groups of its chunks
-and writes the text of each chunk as one frame (a 4-byte little-endian
-length, then the bytes), through a 64 KiB buffer: the pair text of each of
-its chunks, then their group text, then one frame of its tallies, the count
-of each kind in ``Classification`` order and its largest
-``w_search_bound`` as decimal numbers.  The parent renders its own chunks
-group by group, copies the worker's frames to its output in chunk order,
-64 KiB at a time, and merges its tallies into the report's, so the summary
-classifies nothing again.  A frame per chunk, not per group, cut census-M's
-wall from 0.85x to 0.82x the serial command's (20 rounds of each); the
-worker holds one chunk's text at a time, and its peak stays under the
-parent's.
+classification on, one worker is forked once the groups are built, before
+their soundness check; otherwise, or when no pipe or process can be had,
+the parent does every part on the same code path.  The worker is a bare
+``os.fork`` of the command's one thread (``gc.freeze`` first, so the
+worker's collections do not touch, and copy, the pages it shares with the
+parent) writing into one pipe, enlarged to ``PIPE_BYTES`` where the OS
+allows it, so it can run that far ahead of the parent; each process is kept
+on its own share of the usable CPUs (``_pin``).  The report comes from
+``search._scan_and_group`` unchecked, and the check is split by sorted
+word: the parent checks the first half of the sorted colliding words and
+the worker the second (``search._verify_groups``), or the parent checks
+them all.  The worker writes frames (a 4-byte little-endian length, then
+the bytes) through a 64 KiB buffer: first its verdict, empty or the text of
+its ``SoundnessError`` (then nothing more); then the pair text of each of
+the odd chunks, then their group text, then one frame of its tallies, the
+count of each kind in ``Classification`` order and its largest
+``w_search_bound`` as decimal numbers.  The parent reads the verdict once
+its own half has passed and raises the worker's ``SoundnessError``, so no
+byte, not even the "{", is written before every colliding word has passed.
+It then renders the even chunks group by group, copies the worker's frames
+to its output in chunk order, 64 KiB at a time, and merges its tallies into
+the report's, so the summary classifies nothing again.  A frame per chunk,
+not per group, cut census-M's wall from 0.85x to 0.82x the serial
+command's (20 rounds of each); the worker holds one chunk's text at a time,
+and its peak stays under the parent's.
 
 A worker writes nothing to stdout or stderr (both point at the null device)
 and ends with ``os._exit``, also when it is interrupted or its pipe is
@@ -55,7 +62,7 @@ from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional
 
-from .search import Classification, classify_groups
+from .search import Classification, SoundnessError, _verify_groups, classify_groups
 
 if TYPE_CHECKING:
     from .search import CollisionGroup, CollisionReport, GroupTable
@@ -164,8 +171,12 @@ def _renderers(render: Writer) -> tuple[Callable[[GroupTable], str],
 def collide_json(report: CollisionReport, jobs: int,
                  json_writer: Callable[[], Writer]) -> Iterator[str]:
     """``json_writer()(report.to_json_dict(), "\\n") + "\\n"``, in chunks of
-    text, its pair stage split between the parent and a worker when
-    ``--jobs`` allows one (see the module docstring).
+    text, once the soundness check of the report's groups has passed, its
+    check and its pair stage split between the parent and a worker when
+    ``--jobs`` allows one (see the module docstring).  The report comes
+    unchecked from ``search._scan_and_group``: no piece is yielded before
+    every colliding word has passed ``search._verify_groups``, and a word
+    that fails raises ``SoundnessError`` before the first piece.
 
     ``json_writer`` is ``cli._json_writer``, passed in: under ``python -m
     qmarkoff.cli`` the command line runs as ``__main__``, and importing
@@ -176,9 +187,8 @@ def collide_json(report: CollisionReport, jobs: int,
     # the worker needs a chunk of its own: two chunks or more
     split = (report.classify and len(starts) > 2 and hasattr(os, "fork")
              and worker_count(jobs, usable_cpus()) > 0)
-    # the top-level keys in sorted order: these two, then the tail's four
-    yield '{\n  "classifications": '
     yield from _lists(report, starts, split, pairs, group)
+    # the top-level keys in sorted order: the lists' two, then the tail's four
     tail = render({"map": report.map_kind, "max_len": report.max_len,
                    "summary": report.summary(),
                    "unexplained_present": report.has_unexplained}, "\n")
@@ -188,10 +198,12 @@ def collide_json(report: CollisionReport, jobs: int,
 def _lists(report: CollisionReport, starts: list[int], split: bool,
            pairs: Callable[[GroupTable], str],
            group: Callable[[CollisionGroup], str]) -> Iterator[str]:
-    """Both lists of the JSON, from the "[" of the pairs to the "]" of the
-    groups, chunk by chunk (``starts``); with ``split``, a forked worker
-    renders the odd chunks, each process on its own share of the usable
-    CPUs.  Leave the tallies of every pair in ``report.tallies``."""
+    """The soundness check of the report's groups, then the JSON from its
+    "{" to the "]" of the groups, chunk by chunk (``starts``); with
+    ``split``, a forked worker checks the second half of the sorted
+    colliding words and renders the odd chunks, each process on its own
+    share of the usable CPUs.  Leave the tallies of every pair in
+    ``report.tallies``."""
     groups, map_kind = report.groups, report.map_kind
     chunks = list(zip(starts, starts[1:]))
     tallies: list = [Counter(), 0]
@@ -211,7 +223,14 @@ def _lists(report: CollisionReport, starts: list[int], split: bool,
                       cpus[1::2] or cpus, pids, readers)
                 _pin(cpus[::2])
             except OSError:
-                pass  # no pipe or no process to be had: the parent renders every chunk
+                pass  # no pipe or no process to be had: the parent does every part
+        # the parent checks the first half of the words while the worker
+        # checks the second, or every word alone; no byte before both pass
+        _verify_groups(map_kind, groups, 0, 2 if readers else 1)
+        if readers:
+            verdict = "".join(_frame(readers[0]))
+            if verdict:
+                raise SoundnessError(verdict)
 
         def relay(own: Callable[[int, int], Iterable[str]]) -> Iterator[str]:
             # one list: the parent's chunks value by value, each of the
@@ -229,6 +248,7 @@ def _lists(report: CollisionReport, starts: list[int], split: bool,
                     sep = ",\n    "
             yield "[]" if sep == "[\n    " else "\n  ]"
 
+        yield '{\n  "classifications": '
         if report.classify:
             yield from relay(lambda start, end: map(
                 pairs, classify_groups(map_kind, groups[start:end], tallies)))
@@ -289,9 +309,16 @@ def _frame(reader: BinaryIO) -> Iterator[str]:
 def _write_share(map_kind: str, groups: list[CollisionGroup], chunks: list[tuple[int, int]],
                  pairs: Callable[[GroupTable], str], group: Callable[[CollisionGroup], str],
                  frame: Callable[[str], None]) -> None:
-    """A worker's stream, one ``frame`` each: the pair text of each chunk of
-    ``chunks``, then the group text of each, then the tallies of their
-    pairs."""
+    """A worker's stream, one ``frame`` each: the verdict of its half of the
+    soundness check (empty, or the text of its ``SoundnessError``, which
+    ends the stream), then the pair text of each chunk of ``chunks``, then
+    the group text of each, then the tallies of their pairs."""
+    try:
+        _verify_groups(map_kind, groups, 1, 2)
+    except SoundnessError as exc:
+        frame(str(exc))
+        return
+    frame("")
     tallies: list = [Counter(), 0]
     for start, end in chunks:
         frame(",\n    ".join(map(pairs, classify_groups(map_kind, groups[start:end],

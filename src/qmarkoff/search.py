@@ -43,15 +43,18 @@ holds no pairs: ``CollisionReport.group_tables`` classifies one group at a
 time and tallies what the summary needs, so a census's memory grows with
 its words, not with its pairs.
 
-The scan and the soundness check run in the calling process, whatever
-``--jobs`` says: the scan costs one packed step per word, and worker
-processes would have to pickle every word's bucket back to the parent,
-whose unpickling and merging measured slower than the serial scan at every
-length the default safety bound allows.  Only the pair stage is split:
-``collide --jobs N`` classifies and renders every other chunk of the groups
-in one forked worker that sends back the output text
-(``qmarkoff.collide_json``), each process's share through
-``classify_groups``.
+The scan and the grouping run in the calling process, whatever ``--jobs``
+says: the scan costs one packed step per word, and worker processes would
+have to pickle every word's bucket back to the parent, whose unpickling and
+merging measured slower than the serial scan at every length the default
+safety bound allows.  The soundness check and the pair stage are split:
+``collide --jobs N`` forks one worker after the grouping
+(``qmarkoff.collide_json``), which checks the second half of the sorted
+colliding words while the parent checks the first (``_verify_groups`` with
+``part`` and ``parts``), then classifies and renders every other chunk of
+the groups and sends back the output text, each process's share of the
+pairs through ``classify_groups``.  ``collide`` itself checks every word in
+the calling process.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ from .laurent import LaurentPoly
 # search.mu_q, which perfbench/traced.py hooks
 from .qmatrix import (IMAGES, M_q, Mat2, first_row_step, m12_equal, max_entry_at_one,
                       mu_q, packed_step, unpack_poly, walk_words)
-from .words import (BINARY, BoundError, apply_morphism, bar, christoffel_fold,
-                    letter_counts, mirror, require_word)
+from .words import (BINARY, BoundError, SoundnessError, apply_morphism, bar,
+                    christoffel_fold, letter_counts, mirror, require_word)
 
 
 class Classification(str, Enum):
@@ -482,10 +485,17 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
-    """Bucket soundness: recompute the 12-entry of every colliding word on
-    an exact route independent of packing, and raise AssertionError naming a
-    word whose entry differs from its group's, or one the walk never reaches.
+def _verify_groups(map_kind: str, groups: list[CollisionGroup], part: int = 0,
+                   parts: int = 1) -> None:
+    """Bucket soundness: recompute the 12-entry of the ``part``-th of
+    ``parts`` slices of the sorted colliding words on an exact route
+    independent of packing, and raise ``SoundnessError`` naming a word of
+    the slice whose entry differs from its group's, or one the walk never
+    reaches.  The slices are cut by sorted position, so each holds within
+    one word of n / ``parts`` of the n words (every colliding mu word starts
+    with a, so a cut by first letter would leave one slice empty); the
+    ``parts`` calls together check every word once, and the default checks
+    them all.
 
     The route carries the first row (p, r) of the word's matrix as plain
     coefficient tuples, whose second entry is the 12-entry, and steps it
@@ -493,62 +503,52 @@ def _verify_groups(map_kind: str, groups: list[CollisionGroup]) -> None:
     letter through its sigma image, since mu = M o sigma).  The entry is
     compared with the group polynomial's coefficients from q^0 up: neither
     side has trailing zeros, so tuple equality is polynomial equality.
-    ``walk_words`` is pruned to the prefixes of the colliding words, so it
-    costs one row step per distinct nonempty prefix; a prefix is recognised
-    by a binary search of the sorted words.  Given the letters b then a, the
-    walk yields its words in lexicographic order, so it is merged with the
-    sorted colliding words, each paired with its group's polynomial by a
-    list aligned with them (each word placed by a binary search), and no
-    dict of words is built.  Every colliding word must be reached: one that
-    the walk passes without yielding raises as well."""
-    # each colliding word with its group's polynomial, in lexicographic order
+    ``walk_words`` is pruned to the prefixes of the slice's words, so it
+    costs one row step per distinct nonempty prefix of the slice; a prefix
+    is recognised by a binary search of the slice.  Given the letters b then
+    a, the walk yields its words in lexicographic order, so it is merged
+    with the slice, each word paired with its group's polynomial by a list
+    aligned with the slice (each word placed by a binary search of the
+    slice), and no dict of words is built.  Every word of the slice must be
+    reached: one that the walk passes without yielding raises as well."""
+    # each colliding word in lexicographic order; this part checks words[lo:hi]
     words = sorted([w for g in groups for w in g.words])
-    polys = [None] * len(words)
+    lo, hi = part * len(words) // parts, (part + 1) * len(words) // parts
+    if lo == hi:
+        return
+    first, last = words[lo], words[hi - 1]
+    polys = [None] * (hi - lo)  # the group polynomial of each word of the slice
     for g in groups:
         for w in g.words:
-            polys[bisect_left(words, w)] = g.polynomial
+            if first <= w <= last:  # a word of another slice needs no place
+                polys[bisect_left(words, w, lo, hi) - lo] = g.polynomial
 
     def keep(prefix: str) -> bool:
-        # the words starting with prefix, if any, follow it in sorted order
-        i = bisect_left(words, prefix)
-        return i < len(words) and words[i].startswith(prefix)
+        # the slice's words starting with prefix, if any, follow it in sorted order
+        i = bisect_left(words, prefix, lo, hi)
+        return i < hi and words[i].startswith(prefix)
 
     # the walk pops the last letter pushed first: b then a walks a's subtree first
     letters = dict(reversed(IMAGES[map_kind].items()))
-    longest = max(map(len, words), default=0)
-    n, i = len(words), 0
+    longest = max(map(len, words))  # keep prunes the walk to the slice
+    i = lo
     for w, (_, r) in walk_words(letters, ((1,), ()), longest, keep, first_row_step):
-        if i < n and w == words[i]:
-            poly = polys[i]
+        if i < hi and w == words[i]:
+            poly = polys[i - lo]
             # a negative exponent matches no r
             if poly.min_degree < 0 or r != (0,) * poly.min_degree + poly.coefficients:
-                raise AssertionError(f"packed bucket mismatch for word {w!r}")
+                raise SoundnessError(f"packed bucket mismatch for word {w!r}")
             i += 1
-    if i < n:  # the walk passed words[i] without yielding it
-        raise AssertionError(f"bucket soundness walk never reached word {words[i]!r}")
+    if i < hi:  # the walk passed words[i] without yielding it
+        raise SoundnessError(f"bucket soundness walk never reached word {words[i]!r}")
 
 
-def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
-            classify: bool = True) -> CollisionReport:
-    """All maximal groups of words of length <= max_len sharing their 12-entry.
-
-    The scan is one in-process ``walk_words`` that buckets every word by its
-    packed 12-entry: one ``packed_step`` per word from its parent's first
-    row, by shift and add, with limbs of the bit length of
-    ``max_entry_at_one`` and no matrix product.  The groups are built by
-    consuming the buckets, so none outlives its group.  Every word of a
-    group of two or more is then checked by ``_verify_groups``, a second ``walk_words`` pruned to the
-    prefixes of the colliding words, on the first row of the word's matrix
-    stepped by shift and add: one row step per distinct nonempty prefix.  A
-    word whose entry differs from its group's, or that the walk never
-    reaches, raises AssertionError naming it.  The report classifies the
-    pairs when they are read, one ``_classify_group`` table per group,
-    chains included (``CollisionReport.group_tables``); ``classify=False``
-    reports none.
-
-    Deterministic: group words are sorted by (length, lexicographic) and the
-    groups by their first word.
-    """
+def _scan_and_group(map_kind: str, max_len: int, *, safety_bound: int = 16,
+                    classify: bool = True) -> CollisionReport:
+    """``collide``'s report before its soundness check: the scan and the
+    grouping.  Only ``collide`` and the JSON form of the ``collide`` command,
+    which checks the groups itself, split between its processes
+    (``qmarkoff.collide_json``), before it writes a byte, call it."""
     if map_kind not in IMAGES:
         raise ValueError(f"map_kind must be 'M' or 'mu', got {map_kind!r}")
     if max_len < 0:
@@ -578,8 +578,35 @@ def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
         groups.append(CollisionGroup(unpack_poly(key, shift), tuple(ws)))
     del buckets  # emptied by popitem, the dict still holds its table
     groups.sort(key=lambda g: (len(g.words[0]), g.words[0]))
-    _verify_groups(map_kind, groups)
     return CollisionReport(map_kind, max_len, groups, words_searched, classify)
+
+
+def collide(map_kind: str, max_len: int, *, safety_bound: int = 16,
+            classify: bool = True) -> CollisionReport:
+    """All maximal groups of words of length <= max_len sharing their 12-entry.
+
+    The scan is one in-process ``walk_words`` that buckets every word by its
+    packed 12-entry: one ``packed_step`` per word from its parent's first
+    row, by shift and add, with limbs of the bit length of
+    ``max_entry_at_one`` and no matrix product.  The groups are built by
+    consuming the buckets, so none outlives its group
+    (``_scan_and_group``).  Every word of a group of two or more is then
+    checked by ``_verify_groups``, a second ``walk_words`` pruned to the
+    prefixes of the colliding words, on the first row of the word's matrix
+    stepped by shift and add: one row step per distinct nonempty prefix.  A
+    word whose entry differs from its group's, or that the walk never
+    reaches, raises ``SoundnessError`` naming it.  The report classifies the
+    pairs when they are read, one ``_classify_group`` table per group,
+    chains included (``CollisionReport.group_tables``); ``classify=False``
+    reports none.
+
+    Deterministic: group words are sorted by (length, lexicographic) and the
+    groups by their first word.
+    """
+    report = _scan_and_group(map_kind, max_len, safety_bound=safety_bound,
+                             classify=classify)
+    _verify_groups(map_kind, report.groups)
+    return report
 
 
 @dataclass

@@ -40,6 +40,14 @@ class BoundError(RuntimeError):
     to one exit code without importing the modules that raise them."""
 
 
+class SoundnessError(AssertionError):
+    """Raised when a collision search's soundness check finds a colliding
+    word whose 12-entry, recomputed on the independent route, differs from
+    its group's, or one the check never reaches (``search._verify_groups``);
+    defined here, as ``BoundError`` is, so the command line maps it to its
+    exit code without importing the search."""
+
+
 def letter_counts(w: str) -> tuple[int, int]:
     """Return (number of a's, number of b's)."""
     return w.count("a"), w.count("b")

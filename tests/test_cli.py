@@ -378,9 +378,11 @@ def test_collide_json_streams_the_json_writer_bytes(capsys, monkeypatch, map_kin
     reports = []
 
     def recording_collide(*args, **kwargs):
-        reports.append(collide(*args, **kwargs))
+        # the JSON form takes the unchecked report (checked=False) and checks it itself
+        reports.append(cli_collide(*args, **kwargs))
         return reports[-1]
 
+    cli_collide = cli.collide
     monkeypatch.setattr(cli, "collide", recording_collide)
     outputs = []
     for max_len in range(13):
@@ -552,3 +554,15 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
             code = exc.code
     assert code in {0, 1, 2, 3, 4}, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3 * cli.WRITE_CHARS), max_size=12))
+@example([cli.WRITE_CHARS - 1, 1, cli.WRITE_CHARS, 0, 2 * cli.WRITE_CHARS + 5, 3])
+def test_writes_cut_the_text_into_strings_of_one_size(sizes):
+    pieces = [chr(ord("a") + i % 26) * n for i, n in enumerate(sizes)]
+    writes = list(cli._writes(iter(pieces)))
+    assert "".join(writes) == "".join(pieces)
+    # every write but the last fills WRITE_CHARS; none is empty
+    assert all(len(w) == cli.WRITE_CHARS for w in writes[:-1])
+    assert all(0 < len(w) <= cli.WRITE_CHARS for w in writes)

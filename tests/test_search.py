@@ -238,11 +238,17 @@ def test_bucket_soundness_check_catches_a_wrong_polynomial(monkeypatch, map_kind
     assert tamper(word_map(word).m12) == tampered[0]
 
 
+def _slices(words, parts):
+    """The slices of the sorted ``words`` that parts 0, ..., parts - 1 check."""
+    words = sorted(words)
+    n = len(words)
+    return [words[p * n // parts:(p + 1) * n // parts] for p in range(parts)]
+
+
 def test_bucket_soundness_check_makes_one_product_per_prefix(monkeypatch):
-    # the products are row steps: one per distinct nonempty prefix
+    # the products are row steps: one per distinct nonempty prefix of the
+    # slice each part checks
     groups = collide("mu", 10, classify=False).groups
-    words = {w for g in groups for w in g.words}
-    prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
     walked, steps = [], []
 
     def recording_walk(*args):
@@ -257,22 +263,72 @@ def test_bucket_soundness_check_makes_one_product_per_prefix(monkeypatch):
     walk_words, step = search.walk_words, search.first_row_step
     monkeypatch.setattr(search, "walk_words", recording_walk)
     monkeypatch.setattr(search, "first_row_step", counting_step)
-    search._verify_groups("mu", groups)
-    assert len(steps) == len(prefixes) < 2 ** 11 - 1
-    assert sorted(walked) == sorted(prefixes | {""})
+    for parts in (1, 2, 3):
+        for part, words in enumerate(_slices([w for g in groups for w in g.words], parts)):
+            prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
+            walked.clear()
+            steps.clear()
+            search._verify_groups("mu", groups, part, parts)
+            assert len(steps) == len(prefixes) < 2 ** 11 - 1
+            assert sorted(walked) == sorted(prefixes | {""})
+
+
+class _ReadPoly:
+    """A group polynomial that records its word each time the check reads
+    its coefficients."""
+
+    def __init__(self, poly, word, reads):
+        self.poly, self.word, self.reads = poly, word, reads
+        self.min_degree = poly.min_degree
+
+    @property
+    def coefficients(self):
+        self.reads.append(self.word)
+        return self.poly.coefficients
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+@pytest.mark.parametrize("max_len", range(13))
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_bucket_soundness_check_slices_check_every_word_once(map_kind, max_len, parts):
+    # one group per word, so that each word's reads can be told apart
+    groups = collide(map_kind, max_len, classify=False).groups
+    reads = []
+    single = [CollisionGroup(_ReadPoly(g.polynomial, w, reads), (w,))
+              for g in groups for w in g.words]
+    words = [w for g in groups for w in g.words]
+    checked = []
+    for part, expected in enumerate(_slices(words, parts)):
+        reads.clear()
+        search._verify_groups(map_kind, single, part, parts)
+        # this part compares the words of its slice, each once, in sorted order
+        assert reads == expected
+        checked += reads
+        if map_kind == "mu":
+            # cut by sorted position: every mu word starts with a, so a cut
+            # by first letter would leave a slice empty
+            assert abs(len(reads) - len(words) / parts) < 1
+    assert sorted(checked) == sorted(words)
+
+
+@pytest.mark.parametrize("map_kind, max_len", [("M", 0), ("M", 2), ("mu", 5)])
+def test_bucket_soundness_check_empty_slices_pass(map_kind, max_len):
+    groups = collide(map_kind, max_len, classify=False).groups
+    words = [w for g in groups for w in g.words]
+    parts = len(words) + 3
+    slices = _slices(words, parts)
+    assert [] in slices
+    for part in range(parts):
+        search._verify_groups(map_kind, groups, part, parts)
 
 
 def _lexicographic_words(groups):
     return sorted(w for g in groups for w in g.words)
 
 
-@pytest.mark.parametrize("map_kind", ["M", "mu"])
-@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
-def test_bucket_soundness_check_names_a_wrong_entry_at_either_end(map_kind, position):
-    # the word moves to a group of its own with a wrong polynomial: the
-    # merge must pair it with that entry, at either end of the sorted words
-    groups = collide(map_kind, 10, classify=False).groups
-    word = _lexicographic_words(groups)[position]
+def _moved_to_a_wrong_group(groups, word):
+    """``groups`` with ``word`` moved to a group of its own, whose polynomial
+    is its group's plus one."""
     tampered = []
     for g in groups:
         if word in g.words:
@@ -280,9 +336,26 @@ def test_bucket_soundness_check_names_a_wrong_entry_at_either_end(map_kind, posi
             tampered.append(CollisionGroup(g.polynomial + 1, (word,)))
         else:
             tampered.append(g)
-    search._verify_groups(map_kind, groups)
-    with pytest.raises(AssertionError, match=f"packed bucket mismatch for word {word!r}$"):
-        search._verify_groups(map_kind, tampered)
+    return tampered
+
+
+@pytest.mark.parametrize("map_kind", ["M", "mu"])
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_bucket_soundness_check_names_a_wrong_entry_at_either_end(map_kind, position):
+    # the merge must pair the word with its wrong entry, at either end of
+    # each slice, and only the part that checks the word names it
+    groups = collide(map_kind, 10, classify=False).groups
+    for parts in (1, 2, 3):
+        for owner, words in enumerate(_slices(_lexicographic_words(groups), parts)):
+            tampered = _moved_to_a_wrong_group(groups, words[position])
+            for part in range(parts):
+                search._verify_groups(map_kind, groups, part, parts)
+                if part != owner:
+                    search._verify_groups(map_kind, tampered, part, parts)
+                    continue
+                with pytest.raises(search.SoundnessError, match="packed bucket mismatch "
+                                   f"for word {words[position]!r}$"):
+                    search._verify_groups(map_kind, tampered, part, parts)
 
 
 @pytest.mark.parametrize("map_kind", ["M", "mu"])
@@ -290,8 +363,7 @@ def test_bucket_soundness_check_names_a_wrong_entry_at_either_end(map_kind, posi
 def test_bucket_soundness_check_names_a_colliding_word_the_walk_skips(monkeypatch, map_kind,
                                                                       position):
     groups = collide(map_kind, 10, classify=False).groups
-    words = _lexicographic_words(groups)
-    skipped = words[{"first": 0, "middle": len(words) // 2, "last": -1}[position]]
+    skipped = ""
 
     def skipping_walk(*args):
         # the word and its subtree are never yielded
@@ -301,8 +373,12 @@ def test_bucket_soundness_check_names_a_colliding_word_the_walk_skips(monkeypatc
 
     walk_words = search.walk_words
     monkeypatch.setattr(search, "walk_words", skipping_walk)
-    with pytest.raises(AssertionError, match=f"never reached word {skipped!r}$"):
-        search._verify_groups(map_kind, groups)
+    for parts in (1, 2, 3):
+        for part, words in enumerate(_slices(_lexicographic_words(groups), parts)):
+            skipped = words[{"first": 0, "middle": len(words) // 2, "last": -1}[position]]
+            with pytest.raises(search.SoundnessError,
+                               match=f"never reached word {skipped!r}$"):
+                search._verify_groups(map_kind, groups, part, parts)
 
 
 @pytest.mark.parametrize("map_kind, max_len", [("M", 10), ("mu", 12)])
