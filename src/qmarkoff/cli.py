@@ -43,11 +43,14 @@ witness text is made once per table entry, each word's text once per
 group), through ``qmarkoff.collide_json``, which only ``collide`` imports,
 joined into writes of 64 KiB (``_writes``), so the number of write calls
 does not depend on how stdout is buffered; every other command renders one
-value with ``_json_text``.  Both
-give the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.  Every
-output form of ``collide`` classifies each collision group once: JSON and
-human output as they write the pairs, CSV (which lists no pairs) for its
-exit code, which the table's tallies give with no pass over the pairs.
+value with ``_json_text``.  Both give the bytes of ``json.dumps(...,
+sort_keys=True, indent=2)``.  ``qmarkoff.collide_json`` imports nothing
+from this module: under ``python -m qmarkoff.cli`` this module runs as
+``__main__``, and an import of ``qmarkoff.cli`` would compile it a second
+time.  Every output form of ``collide`` classifies each collision group
+once: JSON and human output as they write the pairs, CSV (which lists no
+pairs) for its exit code, which the table's tallies give with no pass over
+the pairs.  The w bound of the stderr line is read from the groups alone.
 """
 
 from __future__ import annotations
@@ -289,7 +292,7 @@ def _cmd_collide(args: argparse.Namespace) -> int:
             for w in g.words:
                 yield [i, w, len(w), poly]
 
-    _emit(args.format, lambda: collide_json(report, args.jobs, _json_writer),
+    _emit(args.format, lambda: collide_json(report, args.jobs),
           ["group", "word", "length", "polynomial"], csv_rows(), human())
     if report.has_unexplained:
         print(f"unexplained pairs present (searched w up to length "

@@ -34,16 +34,16 @@ them all.  The worker writes frames (a 4-byte little-endian length, then
 the bytes) through a 64 KiB buffer: first its verdict, empty or the text of
 its ``SoundnessError`` (then nothing more); then the pair text of each of
 the odd chunks, then their group text, then one frame of its tallies, the
-count of each kind in ``Classification`` order and its largest
-``w_search_bound`` as decimal numbers.  The parent reads the verdict once
-its own half has passed and raises the worker's ``SoundnessError``, so no
-byte, not even the "{", is written before every colliding word has passed.
-It then renders the even chunks group by group, copies the worker's frames
-to its output in chunk order, 64 KiB at a time, and merges its tallies into
-the report's, so the summary classifies nothing again.  A frame per chunk,
-not per group, cut census-M's wall from 0.85x to 0.82x the serial
-command's (20 rounds of each); the worker holds one chunk's text at a time,
-and its peak stays under the parent's.
+count of each kind in ``Classification`` order as decimal numbers.  The
+parent reads the verdict once its own half has passed and raises the
+worker's ``SoundnessError``, so no byte, not even the "{", is written
+before every colliding word has passed.  It then renders the even chunks
+group by group, copies the worker's frames to its output in chunk order,
+64 KiB at a time, and adds the worker's counts to its own, so the summary
+classifies nothing again.  A frame per chunk, not per group, cut census-M's
+wall from 0.85x to 0.82x the serial command's (20 rounds of each); the
+worker holds one chunk's text at a time, and its peak stays under the
+parent's.
 
 A worker writes nothing to stdout or stderr (both point at the null device)
 and ends with ``os._exit``, also when it is interrupted or its pipe is
@@ -66,8 +66,6 @@ from .search import Classification, SoundnessError, _verify_groups, classify_gro
 
 if TYPE_CHECKING:
     from .search import CollisionGroup, CollisionReport, GroupTable
-
-Writer = Callable[[object, str], str]  # cli._json_writer's render(value, newline)
 
 #: The fewest pairs a chunk of the split holds, but for the last chunk: the
 #: first 512 groups of census-M hold 32,261 of its 81,938 pairs, so chunks
@@ -110,10 +108,8 @@ def chunk_starts(groups: list[CollisionGroup]) -> list[int]:
     return starts
 
 
-def _renderers(render: Writer) -> tuple[Callable[[GroupTable], str],
-                                        Callable[[CollisionGroup], str]]:
-    """The text of one group's pairs, from its table, and of one group;
-    ``render`` writes the values of a witness."""
+def _renderers() -> tuple[Callable[[GroupTable], str], Callable[[CollisionGroup], str]]:
+    """The text of one group's pairs, from its table, and of one group."""
     encode = json.encoder.encode_basestring_ascii
     group_text = ('{\n      "polynomial": {\n        "coeffs": %s,\n        "min_degree": %d'
                   '\n      },\n      "words": [\n        %s\n      ]\n    }')
@@ -135,7 +131,8 @@ def _renderers(render: Writer) -> tuple[Callable[[GroupTable], str],
             form = middles[keys] = (',\n      "witness": {' + fields
                                     + '\n      },\n      "x": '), order
         template, order = form
-        return template % tuple([encode(v) if type(v) is str else render(v, "\n        ")
+        # a witness value is a str or the int k
+        return template % tuple([encode(v) if type(v) is str else int.__repr__(v)
                                  for v in map(w.__getitem__, order)])
 
     def pairs(table: GroupTable) -> str:
@@ -168,30 +165,26 @@ def _renderers(render: Writer) -> tuple[Callable[[GroupTable], str],
     return pairs, group
 
 
-def collide_json(report: CollisionReport, jobs: int,
-                 json_writer: Callable[[], Writer]) -> Iterator[str]:
-    """``json_writer()(report.to_json_dict(), "\\n") + "\\n"``, in chunks of
-    text, once the soundness check of the report's groups has passed, its
-    check and its pair stage split between the parent and a worker when
-    ``--jobs`` allows one (see the module docstring).  The report comes
-    unchecked from ``search._scan_and_group``: no piece is yielded before
-    every colliding word has passed ``search._verify_groups``, and a word
-    that fails raises ``SoundnessError`` before the first piece.
-
-    ``json_writer`` is ``cli._json_writer``, passed in: under ``python -m
-    qmarkoff.cli`` the command line runs as ``__main__``, and importing
-    ``qmarkoff.cli`` here would load and compile it a second time."""
-    render = json_writer()
-    pairs, group = _renderers(render)
+def collide_json(report: CollisionReport, jobs: int) -> Iterator[str]:
+    """``json.dumps(report.to_json_dict(), sort_keys=True, indent=2) +
+    "\\n"``, in chunks of text, once the soundness check of the report's
+    groups has passed, its check and its pair stage split between the parent
+    and a worker when ``--jobs`` allows one (see the module docstring).  The
+    report comes unchecked from ``search._scan_and_group``: no piece is
+    yielded before every colliding word has passed
+    ``search._verify_groups``, and a word that fails raises
+    ``SoundnessError`` before the first piece."""
+    pairs, group = _renderers()
     starts = chunk_starts(report.groups)
     # the worker needs a chunk of its own: two chunks or more
     split = (report.classify and len(starts) > 2 and hasattr(os, "fork")
              and worker_count(jobs, usable_cpus()) > 0)
     yield from _lists(report, starts, split, pairs, group)
     # the top-level keys in sorted order: the lists' two, then the tail's four
-    tail = render({"map": report.map_kind, "max_len": report.max_len,
-                   "summary": report.summary(),
-                   "unexplained_present": report.has_unexplained}, "\n")
+    tail = json.dumps({"map": report.map_kind, "max_len": report.max_len,
+                       "summary": report.summary(),
+                       "unexplained_present": report.has_unexplained},
+                      sort_keys=True, indent=2)
     yield ",\n" + tail[len("{\n"):] + "\n"
 
 
@@ -202,11 +195,11 @@ def _lists(report: CollisionReport, starts: list[int], split: bool,
     "{" to the "]" of the groups, chunk by chunk (``starts``); with
     ``split``, a forked worker checks the second half of the sorted
     colliding words and renders the odd chunks, each process on its own
-    share of the usable CPUs.  Leave the tallies of every pair in
-    ``report.tallies``."""
+    share of the usable CPUs.  Leave the count of each kind over every pair
+    in ``report.tallies``."""
     groups, map_kind = report.groups, report.map_kind
     chunks = list(zip(starts, starts[1:]))
-    tallies: list = [Counter(), 0]
+    tallies: Counter = Counter()
     pids: list[int] = []  # the worker, until it is reaped
     readers: list[BinaryIO] = []  # the read end of its pipe, once it runs
     cpus: list[int] = []
@@ -257,15 +250,14 @@ def _lists(report: CollisionReport, starts: list[int], split: bool,
         yield ',\n  "groups": '
         yield from relay(lambda start, end: map(group, groups[start:end]))
         if readers:
-            *counts, bound = map(int, "".join(_frame(readers[0])).split())
-            tallies[0].update(dict(zip(Classification, counts)))
-            tallies[1] = max(tallies[1], bound)
+            counts = map(int, "".join(_frame(readers[0])).split())
+            tallies.update(dict(zip(Classification, counts)))
             _, status = os.waitpid(pids[0], 0)
             pids.clear()
             if status:
                 raise ChildProcessError(f"a worker process ended with status "
                                         f"{os.waitstatus_to_exitcode(status)}")
-        report.tallies = tallies[0], tallies[1]
+        report.tallies = tallies
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # an unreaped child, so it exists
@@ -312,20 +304,21 @@ def _write_share(map_kind: str, groups: list[CollisionGroup], chunks: list[tuple
     """A worker's stream, one ``frame`` each: the verdict of its half of the
     soundness check (empty, or the text of its ``SoundnessError``, which
     ends the stream), then the pair text of each chunk of ``chunks``, then
-    the group text of each, then the tallies of their pairs."""
+    the group text of each, then the count of each kind over their
+    pairs."""
     try:
         _verify_groups(map_kind, groups, 1, 2)
     except SoundnessError as exc:
         frame(str(exc))
         return
     frame("")
-    tallies: list = [Counter(), 0]
+    tallies: Counter = Counter()
     for start, end in chunks:
         frame(",\n    ".join(map(pairs, classify_groups(map_kind, groups[start:end],
                                                          tallies))))
     for start, end in chunks:
         frame(",\n    ".join(map(group, groups[start:end])))
-    frame(" ".join(map(str, [*map(tallies[0].__getitem__, Classification), tallies[1]])))
+    frame(" ".join([str(tallies[kind]) for kind in Classification]))
 
 
 def _fork(job: Callable[[Callable[[str], None]], None], cpus: list[int],

@@ -90,8 +90,7 @@ class CycInt:
     __slots__ = ("_k", "_coords")
 
     def __init__(self, k: int, coords: Iterable[int]) -> None:
-        if k not in _DEGREE:
-            raise ValueError(f"k must be in 1..6, got {k}")
+        _check_order(k)
         cs = tuple(int(c) for c in coords)
         if len(cs) != _DEGREE[k]:
             raise ValueError(f"k={k} needs {_DEGREE[k]} coordinates, got {len(cs)}")

@@ -115,33 +115,32 @@ class CollisionReport:
 
     The pairs are not stored: ``group_tables`` classifies them one group at
     a time and tallies each group from its table as it goes (``group_pairs``
-    lists each group's pairs from the same table), and ``summary``,
-    ``has_unexplained`` and ``w_search_bound`` read those tallies,
-    classifying every group once more, with no pass over its pairs, only if
-    no pass has finished yet.  ``classifications`` is the list of every
-    pair, built by one such pass when first read.
+    lists each group's pairs from the same table), and ``summary`` and
+    ``has_unexplained`` read those tallies, classifying every group once
+    more, with no pass over its pairs, only if no pass has finished yet.
+    ``w_search_bound`` is read from the groups alone, with no pass.
+    ``classifications`` is the list of every pair, built by one such pass
+    when first read.
 
-    ``tallies`` holds the count of each kind and the largest
-    ``w_search_bound`` once a pass over every group has finished; a pass
-    split between processes (``collide --jobs``) sets it from the merged
-    tallies of its shares (``classify_groups``)."""
+    ``tallies`` holds the count of each kind once a pass over every group
+    has finished; a pass split between processes (``collide --jobs``) sets
+    it from the merged counts of its shares (``classify_groups``)."""
 
     map_kind: str
     max_len: int
     groups: list[CollisionGroup]
     words_searched: int
     classify: bool = True
-    tallies: Optional[tuple[Counter, int]] = field(default=None, init=False,
-                                                   repr=False, compare=False)
+    tallies: Optional[Counter] = field(default=None, init=False, repr=False, compare=False)
 
     def group_tables(self) -> Iterator[GroupTable]:
         """Yield each group's ``GroupTable`` (``_classify_group``), group by
         group in report order; once the last group is yielded, keep the
-        count of each kind and the largest ``w_search_bound``."""
-        tallies: list = [Counter(), 0]
+        count of each kind."""
+        tallies: Counter = Counter()
         if self.classify:
             yield from classify_groups(self.map_kind, self.groups, tallies)
-        self.tallies = tallies[0], tallies[1]
+        self.tallies = tallies
 
     def group_pairs(self) -> Iterator[list[PairClassification]]:
         """Yield each group's classified pairs, built from its table, as
@@ -149,7 +148,7 @@ class CollisionReport:
         for table in self.group_tables():
             yield table.classifications()
 
-    def _tally(self) -> tuple[Counter, int]:
+    def _tally(self) -> Counter:
         if self.tallies is None:
             for _ in self.group_tables():
                 pass
@@ -169,15 +168,19 @@ class CollisionReport:
 
     @property
     def has_unexplained(self) -> bool:
-        return self._tally()[0][Classification.UNEXPLAINED] > 0
+        return self._tally()[Classification.UNEXPLAINED] > 0
 
     @property
     def w_search_bound(self) -> int:
-        """The longest w any pair's identity-2 search allowed (0 without pairs)."""
-        return self._tally()[1]
+        """The longest w any pair's identity-2 search allowed (0 without
+        pairs): half the longest word of any group, read from the groups
+        with no classification, since a group's last word is its longest."""
+        if not self.classify:
+            return 0
+        return max([len(g.words[-1]) for g in self.groups], default=0) // 2
 
     def summary(self) -> dict:
-        counts = self._tally()[0]
+        counts = self._tally()
         return {"groups": len(self.groups),
                 "colliding_words": sum(len(g.words) for g in self.groups),
                 "pairs": self.pair_count,
@@ -463,18 +466,14 @@ def _classify_group(map_kind: str, words: tuple[str, ...]) -> GroupTable:
 
 
 def classify_groups(map_kind: str, groups: Iterable[CollisionGroup],
-                    tallies: list) -> Iterator[GroupTable]:
+                    counts: Counter) -> Iterator[GroupTable]:
     """Yield the ``GroupTable`` of each of ``groups`` in order
     (``_classify_group``), adding the group's count of each kind to
-    ``tallies[0]``, a Counter, and raising ``tallies[1]`` to its largest
-    ``w_search_bound``."""
-    counts = tallies[0]
+    ``counts``."""
     for g in groups:
         table = _classify_group(map_kind, g.words)
         for kind, count in table.counts.items():
             counts[kind] += count
-        # the group's last word is its longest: the largest bound
-        tallies[1] = max(tallies[1], len(g.words[-1]) // 2)
         yield table
 
 

@@ -462,6 +462,23 @@ def test_report_tallies_match_the_list_of_pairs(map_kind, max_len):
     assert list(bare.group_pairs()) == []
 
 
+def test_w_search_bound_is_read_from_the_groups_with_no_pass(monkeypatch):
+    # half the longest word of any group: no group is classified to read it
+    calls = []
+
+    def counting_classify(*args):
+        calls.append(args)
+        return classify_group(*args)
+
+    classify_group = search._classify_group
+    monkeypatch.setattr(search, "_classify_group", counting_classify)
+    report = collide("M", 10)
+    bound = report.w_search_bound
+    assert (len(calls), report.tallies) == (0, None)
+    assert bound == max(c.w_search_bound for c in report.classifications)
+    assert calls  # listing the pairs classifies
+
+
 def test_report_json_round_trip_polynomials():
     report = collide("mu", 6)
     data = report.to_json_dict()
