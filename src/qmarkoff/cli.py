@@ -96,16 +96,13 @@ def residue_relation_check(*args, **kwargs):
     return residue_relation_check(*args, **kwargs)
 
 
-def _json_writer() -> Callable[[object, str], str]:
-    """A function render(value, newline) giving the text of
-    ``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with
-    ``newline`` (a line break and the indent of the value's own level) in
-    place of each line break; at the top level ``newline`` is "\n".
+def _json_text(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
     The standard library writes indented JSON with its pure-Python encoder,
     one small string per token.  Here each dict, list or tuple is one
     ``str.join`` of its items' texts, strings use the C string encoder, each
-    distinct string key is encoded once per writer, and a leaf other than a
+    distinct string key is encoded once per call, and a leaf other than a
     str, int, bool or None goes to ``json.dumps``, which writes leaves as the
     indented encoder does.
     """
@@ -124,6 +121,7 @@ def _json_writer() -> Callable[[object, str], str]:
                         f"not {type(key).__name__}")
 
     def render(value: object, newline: str) -> str:
+        # ``newline`` is a line break and the indent of the value's own level
         if type(value) is int:
             return int.__repr__(value)
         if value is None:
@@ -148,13 +146,7 @@ def _json_writer() -> Callable[[object, str], str]:
                 + newline + "]")
         return json.dumps(value)  # any other leaf, e.g. a float or a str subclass
 
-    return render
-
-
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte (see
-    ``_json_writer``)."""
-    return _json_writer()(obj, "\n")
+    return render(obj, "\n")
 
 
 #: The characters of each write of a streamed output (``_writes``).
