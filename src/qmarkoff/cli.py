@@ -19,15 +19,16 @@ a traceback.  ``markoff --depth`` below 0 is a
 validation error (exit 2), while ``markoff --up-to`` below 1 prints the
 empty list and exits 0: no Markoff number is that small.
 ``--jobs`` (default 1, read from no environment variable) is accepted by
-every command and changes no output.  Only ``collide``'s JSON uses it: with
-``--jobs`` and the usable CPUs both above 1 and two chunks of pairs or
-more, one worker process is forked once the groups are built; it checks
-the second half of the sorted colliding words while the parent checks the
-first, then classifies and renders every other chunk of the pairs and
-groups, and the parent writes its text in order once both halves have
-passed (``qmarkoff.collide_json``); a larger N starts no second worker.
-Every other command, and ``collide``'s CSV and human forms, run in one
-process.
+every command and changes no output.  Only ``collide``'s JSON uses it:
+with ``--jobs`` and the number of usable CPUs (the command's affinity
+mask, or every CPU where the OS has none) both above 1 and two chunks of
+pairs or more, one worker process is forked once the groups are built; it
+checks the second half of the sorted colliding words while the parent
+checks the first, then classifies and renders every other chunk of the
+pairs and groups, and the parent writes its text in order once both halves
+have passed (``qmarkoff.collide_json``); a larger N starts no second
+worker.  Every other command, and ``collide``'s CSV and human forms, run
+in one process.
 
 Each command loads only the modules it runs.  This module loads
 ``identities`` (with ``laurent``, ``qmatrix`` and ``words``); ``search``,

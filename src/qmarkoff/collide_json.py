@@ -18,32 +18,33 @@ the list of pairs is ever built.
 
 The split.  The groups are cut in order into chunks that each end with the
 group that brings them to ``CHUNK_PAIRS`` pairs.  With ``--jobs`` and the
-usable CPUs both above 1 (``worker_count``), two chunks or more and
-classification on, one worker is forked once the groups are built, before
-their soundness check; otherwise, or when no pipe or process can be had,
-the parent does every part on the same code path.  The worker is a bare
-``os.fork`` of the command's one thread (``gc.freeze`` first, so the
-worker's collections do not touch, and copy, the pages it shares with the
-parent) writing into one pipe, enlarged to ``PIPE_BYTES`` where the OS
-allows it, so it can run that far ahead of the parent; each process is kept
-on its own share of the usable CPUs (``_pin``).  The report comes from
-``search._scan_and_group`` unchecked, and the check is split by sorted
-word: the parent checks the first half of the sorted colliding words and
-the worker the second (``search._verify_groups``), or the parent checks
-them all.  The worker writes frames (a 4-byte little-endian length, then
-the bytes) through a 64 KiB buffer: first its verdict, empty or the text of
-its ``SoundnessError`` (then nothing more); then the pair text of each of
-the odd chunks, then their group text, then one frame of its tallies, the
-count of each kind in ``Classification`` order as decimal numbers.  The
-parent reads the verdict once its own half has passed and raises the
-worker's ``SoundnessError``, so no byte, not even the "{", is written
-before every colliding word has passed.  It then renders the even chunks
-group by group, copies the worker's frames to its output in chunk order,
-64 KiB at a time, and adds the worker's counts to its own, so the summary
-classifies nothing again.  A frame per chunk, not per group, cut census-M's
-wall from 0.85x to 0.82x the serial command's (20 rounds of each); the
-worker holds one chunk's text at a time, and its peak stays under the
-parent's.
+number of usable CPUs (``usable_cpus``, read once) both above 1, two chunks
+or more and classification on, one worker is forked once the groups are
+built, before their soundness check; otherwise, or when no pipe or process
+can be had, the parent does every part on the same code path.  Both
+processes render a chunk through the same two functions, one for its pairs
+and one for its groups.  The worker is a bare ``os.fork`` of the command's
+one thread (``gc.freeze`` first, so the worker's collections do not touch,
+and copy, the pages it shares with the parent) writing into one pipe,
+enlarged to ``PIPE_BYTES`` where the OS allows it, so it can run that far
+ahead of the parent; each process is kept on its own share of that CPU list
+(``_pin``).  The report comes from ``search._scan_and_group`` unchecked, and
+the check is split by sorted word: the parent checks the first half of the
+sorted colliding words and the worker the second
+(``search._verify_groups``), or the parent checks them all.  The worker's
+stream (``share``) is frames (a 4-byte little-endian length, then the
+bytes) through a 64 KiB buffer: first its verdict, empty or the text of its
+``SoundnessError`` (then nothing more); then the pair text of each of the
+odd chunks, then their group text, then one frame of its tallies, the count
+of each kind in ``Classification`` order as decimal numbers.  The parent
+reads the verdict once its own half has passed and raises the worker's
+``SoundnessError``, so no byte, not even the "{", is written before every
+colliding word has passed.  It then renders the even chunks group by group,
+copies the worker's frames to its output in chunk order, 64 KiB at a time,
+and adds the worker's counts to its own, so the summary classifies nothing
+again.  A frame per chunk, not per group, cut census-M's wall from 0.85x to
+0.82x the serial command's (20 rounds of each); the worker holds one
+chunk's text at a time, and its peak stays under the parent's.
 
 A worker writes nothing to stdout or stderr (both point at the null device)
 and ends with ``os._exit``, also when it is interrupted or its pipe is
@@ -59,7 +60,6 @@ import json
 import os
 import signal
 from collections import Counter
-from functools import partial
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional
 
 from .search import Classification, SoundnessError, _verify_groups, classify_groups
@@ -77,21 +77,13 @@ PIPE_BYTES = 1 << 20
 _SHORT_STREAM = "a worker process ended before its output was complete"
 
 
-def worker_count(jobs: int, cpus: int) -> int:
-    """The workers beside the parent for ``--jobs`` ``jobs`` on ``cpus``
-    usable CPUs: one when both allow two processes, else none.  The split
-    was measured only as a parent and one worker on two CPUs
-    (``BENCH_24.json``), so it starts no more than that."""
-    return 1 if min(jobs, cpus) > 1 else 0
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS has
-    one, else the CPU count."""
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in order: its affinity mask where
+    the OS has one, else every CPU."""
     try:
-        return len(os.sched_getaffinity(0))
+        return sorted(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        return list(range(os.cpu_count() or 1))
 
 
 def chunk_starts(groups: list[CollisionGroup]) -> list[int]:
@@ -173,47 +165,51 @@ def collide_json(report: CollisionReport, jobs: int) -> Iterator[str]:
     report comes unchecked from ``search._scan_and_group``: no piece is
     yielded before every colliding word has passed
     ``search._verify_groups``, and a word that fails raises
-    ``SoundnessError`` before the first piece."""
+    ``SoundnessError`` before the first piece.  Leave the count of each kind
+    over every pair in ``report.tallies``."""
     pairs, group = _renderers()
-    starts = chunk_starts(report.groups)
-    # the worker needs a chunk of its own: two chunks or more
-    split = (report.classify and len(starts) > 2 and hasattr(os, "fork")
-             and worker_count(jobs, usable_cpus()) > 0)
-    yield from _lists(report, starts, split, pairs, group)
-    # the top-level keys in sorted order: the lists' two, then the tail's four
-    tail = json.dumps({"map": report.map_kind, "max_len": report.max_len,
-                       "summary": report.summary(),
-                       "unexplained_present": report.has_unexplained},
-                      sort_keys=True, indent=2)
-    yield ",\n" + tail[len("{\n"):] + "\n"
-
-
-def _lists(report: CollisionReport, starts: list[int], split: bool,
-           pairs: Callable[[GroupTable], str],
-           group: Callable[[CollisionGroup], str]) -> Iterator[str]:
-    """The soundness check of the report's groups, then the JSON from its
-    "{" to the "]" of the groups, chunk by chunk (``starts``); with
-    ``split``, a forked worker checks the second half of the sorted
-    colliding words and renders the odd chunks, each process on its own
-    share of the usable CPUs.  Leave the count of each kind over every pair
-    in ``report.tallies``."""
     groups, map_kind = report.groups, report.map_kind
+    starts = chunk_starts(groups)
     chunks = list(zip(starts, starts[1:]))
     tallies: Counter = Counter()
+
+    def pair_texts(start: int, end: int) -> Iterable[str]:
+        if not report.classify:
+            return ()
+        return map(pairs, classify_groups(map_kind, groups[start:end], tallies))
+
+    def group_texts(start: int, end: int) -> Iterable[str]:
+        return map(group, groups[start:end])
+
+    def share(frame: Callable[[str], None]) -> None:
+        # the worker's stream, one frame each: the verdict of its half of the
+        # check (empty, or the text of its SoundnessError, which ends the
+        # stream), the pair text of each odd chunk, then their group text,
+        # then the count of each kind over its pairs
+        try:
+            _verify_groups(map_kind, groups, 1, 2)
+        except SoundnessError as exc:
+            frame(str(exc))
+            return
+        frame("")
+        for texts in (pair_texts, group_texts):
+            for start, end in chunks[1::2]:
+                frame(",\n    ".join(texts(start, end)))
+        frame(" ".join([str(tallies[kind]) for kind in Classification]))
+
+    cpus = usable_cpus()
+    # the worker needs a chunk of its own; at most one worker, since the
+    # split was measured only as a parent and one worker on two CPUs
+    # (BENCH_24.json)
+    split = (report.classify and len(chunks) > 1 and hasattr(os, "fork")
+             and min(jobs, len(cpus)) > 1)
     pids: list[int] = []  # the worker, until it is reaped
     readers: list[BinaryIO] = []  # the read end of its pipe, once it runs
-    cpus: list[int] = []
-    if split:
-        try:
-            cpus = sorted(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity calls: the OS places the processes
-            pass
-        gc.freeze()
     try:
         if split:
+            gc.freeze()
             try:
-                _fork(partial(_write_share, map_kind, groups, chunks[1::2], pairs, group),
-                      cpus[1::2] or cpus, pids, readers)
+                _fork(share, cpus[1::2], pids, readers)
                 _pin(cpus[::2])
             except OSError:
                 pass  # no pipe or no process to be had: the parent does every part
@@ -242,13 +238,9 @@ def _lists(report: CollisionReport, starts: list[int], split: bool,
             yield "[]" if sep == "[\n    " else "\n  ]"
 
         yield '{\n  "classifications": '
-        if report.classify:
-            yield from relay(lambda start, end: map(
-                pairs, classify_groups(map_kind, groups[start:end], tallies)))
-        else:
-            yield "[]"
+        yield from relay(pair_texts)
         yield ',\n  "groups": '
-        yield from relay(lambda start, end: map(group, groups[start:end]))
+        yield from relay(group_texts)
         if readers:
             counts = map(int, "".join(_frame(readers[0])).split())
             tallies.update(dict(zip(Classification, counts)))
@@ -267,6 +259,12 @@ def _lists(report: CollisionReport, starts: list[int], split: bool,
         if split:
             _pin(cpus)
             gc.unfreeze()
+    # the top-level keys in sorted order: the lists' two, then the tail's four
+    tail = json.dumps({"map": report.map_kind, "max_len": report.max_len,
+                       "summary": report.summary(),
+                       "unexplained_present": report.has_unexplained},
+                      sort_keys=True, indent=2)
+    yield ",\n" + tail[len("{\n"):] + "\n"
 
 
 def _pin(cpus: list[int]) -> None:
@@ -276,11 +274,10 @@ def _pin(cpus: list[int]) -> None:
     took turns on one CPU (census-M's pair stage at 1.1x its serial time,
     against 0.6-0.8x pinned apart), and with the worker alone pinned the
     woken parent followed it (the command at 1.12x, against 0.89x)."""
-    if cpus:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no affinity calls, or no such CPUs
+        pass
 
 
 def _frame(reader: BinaryIO) -> Iterator[str]:
@@ -296,29 +293,6 @@ def _frame(reader: BinaryIO) -> Iterator[str]:
             raise ChildProcessError(_SHORT_STREAM)
         size -= len(piece)
         yield piece.decode()
-
-
-def _write_share(map_kind: str, groups: list[CollisionGroup], chunks: list[tuple[int, int]],
-                 pairs: Callable[[GroupTable], str], group: Callable[[CollisionGroup], str],
-                 frame: Callable[[str], None]) -> None:
-    """A worker's stream, one ``frame`` each: the verdict of its half of the
-    soundness check (empty, or the text of its ``SoundnessError``, which
-    ends the stream), then the pair text of each chunk of ``chunks``, then
-    the group text of each, then the count of each kind over their
-    pairs."""
-    try:
-        _verify_groups(map_kind, groups, 1, 2)
-    except SoundnessError as exc:
-        frame(str(exc))
-        return
-    frame("")
-    tallies: Counter = Counter()
-    for start, end in chunks:
-        frame(",\n    ".join(map(pairs, classify_groups(map_kind, groups[start:end],
-                                                         tallies))))
-    for start, end in chunks:
-        frame(",\n    ".join(map(group, groups[start:end])))
-    frame(" ".join([str(tallies[kind]) for kind in Classification]))
 
 
 def _fork(job: Callable[[Callable[[str], None]], None], cpus: list[int],

@@ -18,3 +18,14 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+@pytest.fixture(autouse=True)
+def _keep_affinity():
+    """Give each test back the CPUs it started on: a split pins the parent
+    back to the CPU list ``collide_json.usable_cpus`` gave, which a test may
+    have faked."""
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    if before is not None and os.sched_getaffinity(0) != before:
+        os.sched_setaffinity(0, before)

@@ -31,8 +31,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
     (1, 1, 0), (1, 4, 0), (2, 1, 0), (2, 2, 1), (3, 2, 1), (3, 3, 1), (4, 3, 1),
     (10 ** 6, 2, 1), (10 ** 6, 1, 0), (2, 64, 1), (64, 64, 1),
 ])
-def test_worker_count(jobs, cpus, workers):
-    assert collide_json.worker_count(jobs, cpus) == workers
+def test_worker_count(capsys, monkeypatch, forks, jobs, cpus, workers):
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: list(range(cpus)))
+    assert _run(capsys, "M", 12, jobs)[0] == 3
+    assert len(forks) == workers
 
 
 def test_chunks_are_cut_by_pairs():
@@ -61,7 +63,7 @@ def _run(capsys, map_kind, max_len, jobs):
                          ids=["chunks", "one-group-chunks"])
 def test_output_is_identical_for_every_jobs_value(capsys, monkeypatch, forks, map_kind,
                                                   max_len, chunk_pairs):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1, 2])
     monkeypatch.setattr(collide_json, "CHUNK_PAIRS", chunk_pairs)
     calls = []
     classify_group = search._classify_group
@@ -92,7 +94,7 @@ def test_output_is_identical_for_every_jobs_value(capsys, monkeypatch, forks, ma
 def test_each_process_checks_its_part_once(capsys, monkeypatch, forks, tmp_path, jobs, cpus,
                                            parts):
     # each call of the check, from whichever process, is one line of the log
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: list(range(cpus)))
     log = tmp_path / "checks"
     verify = collide_json._verify_groups
 
@@ -111,7 +113,7 @@ def test_each_process_checks_its_part_once(capsys, monkeypatch, forks, tmp_path,
 
 
 def test_no_classify_and_other_forms_stay_serial(capsys, monkeypatch, forks):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1])
     for extra in (["--no-classify"], ["--format", "csv"], ["--format", "human"]):
         argv = ["collide", "--map", "M", "--max-len", "10", *extra]
         outputs = []
@@ -122,9 +124,26 @@ def test_no_classify_and_other_forms_stay_serial(capsys, monkeypatch, forks):
 
 
 def test_one_usable_cpu_stays_serial(capsys, monkeypatch, forks):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0])
     assert _run(capsys, "M", 10, 4) == _run(capsys, "M", 10, 1)
     assert forks == []
+
+
+def test_usable_cpus_without_affinity_calls_are_every_cpu(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert collide_json.usable_cpus() == [0, 1, 2, 3]
+
+
+def test_two_cpus_without_affinity_calls_fork_once(capsys, monkeypatch, forks):
+    # the OS places both processes: pinning is skipped, not an error
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = _run(capsys, "M", 12, 1)
+    assert forks == []
+    assert _run(capsys, "M", 12, 2) == serial
+    assert len(forks) == 1
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -133,7 +152,7 @@ def test_each_process_runs_on_its_own_cpus(capsys, monkeypatch):
     # unpinned, the pipe's wakeups draw the parent and its worker onto one CPU
     before = os.sched_getaffinity(0)
     cpus = sorted(before)
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: cpus)
     pins = []
     fork, pin = collide_json._fork, collide_json._pin
 
@@ -158,7 +177,7 @@ def test_each_process_runs_on_its_own_cpus(capsys, monkeypatch):
 ])
 def test_no_process_to_be_had_leaves_the_parent_every_chunk(capsys, monkeypatch, call,
                                                              error):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1])
     serial = _run(capsys, "M", 12, 1)
 
     def refuse():
@@ -201,7 +220,7 @@ def _tamper_a_group_in(monkeypatch, half):
 ], ids=["json-jobs-1", "json-jobs-2", "csv", "human"])
 def test_a_soundness_failure_exits_6_before_any_output(capsys, monkeypatch, forks, half,
                                                        argv, workers):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1])
     word = _tamper_a_group_in(monkeypatch, half)
     code = main(["collide", "--map", "M", "--max-len", "12", *argv])
     captured = capsys.readouterr()
@@ -229,7 +248,7 @@ class _CountingRaw(io.RawIOBase):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_json_goes_out_in_64_kib_writes(capsys, monkeypatch, jobs):
     # write-through, as under PYTHONUNBUFFERED=1: each write is one call
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1])
     raw = _CountingRaw()
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii",
                                                         write_through=True))
@@ -271,12 +290,12 @@ CENSUS_M = ("collide", "--map", "M", "--max-len", "14", "--jobs", "2")
 def _census_with_two_processes():
     """census-M, with two usable CPUs whatever the host has."""
     return _start("-c", "import sys; from qmarkoff import cli, collide_json; "
-                        "collide_json.usable_cpus = lambda: 2; "
+                        "collide_json.usable_cpus = lambda: [0, 1]; "
                         f"sys.exit(cli.main({list(CENSUS_M)!r}))")
 
 
 def test_census_M_forks_once(capsys, monkeypatch, forks):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1])
     assert main(list(CENSUS_M)) == 3
     assert len(forks) == 1
     capsys.readouterr()
@@ -296,7 +315,7 @@ def test_interrupt_with_workers_exits_130():
 def test_interrupt_while_both_processes_check_exits_130(tmp_path):
     # each process marks its part of the soundness check, then waits in it
     proc = _start("-c", "import os, sys, time; from qmarkoff import cli, collide_json; "
-                        "collide_json.usable_cpus = lambda: 2; "
+                        "collide_json.usable_cpus = lambda: [0, 1]; "
                         "collide_json._verify_groups = lambda map_kind, groups, part, parts: "
                         f"(open(os.path.join({str(tmp_path)!r}, str(part)), 'w').close(), "
                         "time.sleep(60)); "
@@ -328,7 +347,7 @@ def test_closed_stdout_with_workers_exits_141():
 ], ids=["exits-at-once", "short-frame", "killed"])
 def test_a_failed_worker_fails_the_command(work):
     proc = _start("-c", "import os, signal, sys; from qmarkoff import cli, collide_json; "
-                        "collide_json.usable_cpus = lambda: 2; "
+                        "collide_json.usable_cpus = lambda: [0, 1]; "
                         f"collide_json._work = {work}; "
                         "sys.exit(cli.main(['collide', '--map', 'M', '--max-len', '12', "
                         "'--jobs', '2']))")

@@ -148,14 +148,14 @@ def test_parallel_search_matches_serial(capsys, map_kind):
 
 def test_collide_starts_no_worker_process(capsys, monkeypatch, forks):
     # M 8 has 960 pairs, fewer than two chunks: the pair stage stays serial
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1, 2, 3])
     multi = _collide_cli(capsys, "--map", "M", "--max-len", "8", "--jobs", "4")
     assert forks == []
     assert multi == _collide_cli(capsys, "--map", "M", "--max-len", "8", "--jobs", "1")
 
 
 def test_collide_M10_with_two_jobs_forks_once(capsys, monkeypatch, forks):
-    monkeypatch.setattr(collide_json, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(collide_json, "usable_cpus", lambda: [0, 1, 2, 3])
     multi = _collide_cli(capsys, "--map", "M", "--max-len", "10", "--jobs", "2")
     assert len(forks) == 1
     assert multi == _collide_cli(capsys, "--map", "M", "--max-len", "10", "--jobs", "1")
